@@ -354,6 +354,16 @@ def main(argv: list[str] | None = None) -> int:
     except BdomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # the documented exit 5, never a traceback
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        print(
+            f"internal error: {type(exc).__name__}: {exc} ({where})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
     if report is not None:
         _emit(report)
     return EXIT_OK

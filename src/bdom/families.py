@@ -18,14 +18,14 @@ depends on the solver's search path.
 from __future__ import annotations
 
 from .errors import (
-    InfeasibleParams,
     InvalidDims,
     OutOfFormulaDomain,
     OutOfRange,
     TooManyEdges,
 )
-from .graphs import Digraph, Graph, Params, bits_from_index, build_graph, orient
+from .graphs import Digraph, Graph, Params, build_graph, orient, orient_index
 from .interval import DominationInterval
+from .solver import _require_feasible
 
 
 def grid(m: int, n: int) -> Graph:
@@ -126,8 +126,7 @@ def star_interval(n: int, p: Params) -> DominationInterval:
     (1,1) -> [n, n]; (2,2) -> [n-1, n]; t = r > 2 -> [2, n];
     t > r -> [1, n-1].  Full in every case.
     """
-    if p.r > p.t:
-        raise InfeasibleParams(f"r={p.r} exceeds t={p.t}")
+    _require_feasible(p)
     if n < 3:
         raise OutOfFormulaDomain(f"star interval formulas need n >= 3, got {n}")
     if p.t == p.r:
@@ -261,4 +260,4 @@ def max_indegree_le1_orientation(m: int, n: int) -> tuple[Digraph, int]:
         if count > best_count:
             best_count = count
             best_mask = mask
-    return orient(g, bits_from_index(best_mask, num_edges)), best_count
+    return orient_index(g, best_mask), best_count

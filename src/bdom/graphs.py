@@ -13,15 +13,16 @@ directed machinery); same-direction duplicates and loops are not.
 
 Signal model: a tower at v sends strength t - d(v, w) to every vertex w
 at directed distance d(v, w) < t, including strength t to itself.  The
-reception at w is the sum over towers.  Distances come from
-breadth-first search truncated at depth t - 1, cached per (digraph, t);
-unreachable pairs are absent from the maps rather than set to a
-sentinel.
+reception at w is the sum over towers.  Distances are held as a cover
+table per (digraph, t), built once by breadth-first search truncated at
+depth t - 1: cover_out[v] lists (w, t - d(v, w)) for every w the tower v
+reaches and cover_in[w] the towers reaching w, ascending.  Unreachable
+pairs are absent rather than set to a sentinel.  Reception, the solver
+and the lattice checks all read this one table.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,19 +55,27 @@ class Params:
 class Graph:
     """Undirected simple graph with a canonical edge order."""
 
-    __slots__ = ("n", "edges", "adjacency", "_dist_cache", "_digraph")
+    __slots__ = ("n", "edges", "adjacency", "_incidence", "_digraph")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        high_mask = [0] * n
+        for k, (u, v) in enumerate(self.edges):
+            incident[u].append((v, k))
+            incident[v].append((u, k))
+            high_mask[v] |= 1 << k
+        for pairs in incident:
+            pairs.sort()
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
+            tuple(w for w, _ in pairs) for pairs in incident
         )
-        self._dist_cache: dict[int, tuple[dict[int, int], ...]] = {}
+        # per vertex x: the edges where x is the high endpoint, and its
+        # (neighbor, edge index) pairs by neighbor; orient_index reads these
+        self._incidence = tuple(
+            (mask, tuple(pairs)) for mask, pairs in zip(high_mask, incident)
+        )
         self._digraph: Digraph | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -82,31 +91,22 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
-    def bounded_distances(self, horizon: int) -> tuple[dict[int, int], ...]:
-        """Per-source maps {w: d(v, w)} restricted to d < horizon."""
-        cached = self._dist_cache.get(horizon)
-        if cached is None:
-            cached = tuple(
-                _bfs(self.adjacency, v, horizon) for v in range(self.n)
-            )
-            self._dist_cache[horizon] = cached
-        return cached
-
     def as_digraph(self) -> "Digraph":
         """The doubly-directed equivalent: each edge becomes two opposite arcs."""
         if self._digraph is None:
-            arcs: list[tuple[int, int]] = []
-            for u, v in self.edges:
-                arcs.append((u, v))
-                arcs.append((v, u))
-            self._digraph = Digraph(self.n, arcs)
+            self._digraph = Digraph._trusted(self.n, self.adjacency, self.adjacency)
         return self._digraph
+
+
+CoverTables = tuple[
+    tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...]
+]
 
 
 class Digraph:
     """Directed graph without loops or same-direction parallel arcs."""
 
-    __slots__ = ("n", "out_adjacency", "in_adjacency", "_dist_cache")
+    __slots__ = ("n", "out_adjacency", "in_adjacency", "_cover_cache")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         out_adj: list[list[int]] = [[] for _ in range(n)]
@@ -132,7 +132,22 @@ class Digraph:
         self.in_adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in in_adj
         )
-        self._dist_cache: dict[int, tuple[dict[int, int], ...]] = {}
+        self._cover_cache: dict[int, CoverTables] = {}
+
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        out_adjacency: tuple[tuple[int, ...], ...],
+        in_adjacency: tuple[tuple[int, ...], ...],
+    ) -> "Digraph":
+        """Digraph from sorted adjacency tuples known to be valid."""
+        d = object.__new__(cls)
+        d.n = n
+        d.out_adjacency = out_adjacency
+        d.in_adjacency = in_adjacency
+        d._cover_cache = {}
+        return d
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -153,34 +168,57 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={sum(map(len, self.out_adjacency))})"
 
+    def cover(self, t: int) -> CoverTables:
+        """(cover_out, cover_in) at transmission strength t, cached.
+
+        cover_out[v] lists (w, t - d(v, w)) for every w with d(v, w) < t,
+        in breadth-first order starting with (v, t); cover_in[w] lists
+        the towers v reaching w, ascending.  One truncated breadth-first
+        search per source builds both.
+        """
+        tables = self._cover_cache.get(t)
+        if tables is None:
+            tables = self._cover_cache[t] = _build_cover(self.out_adjacency, t)
+        return tables
+
     def bounded_distances(self, horizon: int) -> tuple[dict[int, int], ...]:
-        cached = self._dist_cache.get(horizon)
-        if cached is None:
-            cached = tuple(
-                _bfs(self.out_adjacency, v, horizon) for v in range(self.n)
-            )
-            self._dist_cache[horizon] = cached
-        return cached
+        """Per-source maps {w: d(v, w)} restricted to d < horizon."""
+        return tuple(
+            {w: horizon - c for w, c in pairs}
+            for pairs in self.cover(horizon)[0]
+        )
 
 
-def _bfs(
-    adjacency: Sequence[Sequence[int]], source: int, horizon: int
-) -> dict[int, int]:
-    """Distances from source strictly below horizon."""
-    dist = {source: 0}
-    if horizon <= 1:
-        return dist
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du + 1 >= horizon:
-            continue
-        for w in adjacency[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+def _build_cover(
+    adjacency: tuple[tuple[int, ...], ...], t: int
+) -> CoverTables:
+    n = len(adjacency)
+    cover_out: list[tuple[tuple[int, int], ...]] = []
+    cover_in: list = [[] for _ in range(n)]
+    # mark[w] == v: w already reached from source v
+    mark = [-1] * n
+    for v in range(n):
+        pairs = [(v, t)]
+        cover_in[v].append(v)
+        mark[v] = v
+        frontier = [v]
+        c = t - 1
+        while c > 0 and frontier:
+            reached = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if mark[w] != v:
+                        mark[w] = v
+                        reached.append(w)
+                        pairs.append((w, c))
+                        cover_in[w].append(v)
+            frontier = reached
+            c -= 1
+        cover_out.append(tuple(pairs))
+    # each list gives way to its tuple in turn, so the two sets never coexist
+    for w in range(n):
+        cover_in[w] = tuple(cover_in[w])
+    return tuple(cover_out), tuple(cover_in)
 
 
 def build_graph(n: int, edge_list: Iterable[Iterable[int]]) -> Graph:
@@ -242,10 +280,36 @@ def index_from_bits(bits: Bits) -> int:
 def orient(graph: Graph, bits: Bits | str) -> Digraph:
     """Orientation of graph: bit k = 0 means edge k runs low id -> high id."""
     values = normalize_bits(bits, len(graph.edges))
-    arcs = [
-        (v, u) if b else (u, v) for (u, v), b in zip(graph.edges, values)
-    ]
-    return Digraph(graph.n, arcs)
+    return orient_index(graph, index_from_bits(values))
+
+
+def orient_index(graph: Graph, index: int) -> Digraph:
+    """Orientation number index of graph, bit k of index orienting edge k
+    as in orient(); 0 <= index < 2^|E|.
+
+    Builds the adjacency directly, without Digraph's arc checks: every
+    edge of a Graph yields exactly one arc, so none of them can fail.
+    """
+    if not 0 <= index < 1 << len(graph.edges):
+        raise LengthMismatch(
+            f"orientation index {index} out of range for {len(graph.edges)} edges"
+        )
+    out_adj = []
+    in_adj = []
+    for high_mask, pairs in graph._incidence:
+        # the arc to w leaves this vertex iff bit k equals "this is the
+        # high endpoint", i.e. iff bit k of index ^ high_mask is 0
+        flipped = index ^ high_mask
+        out_w = []
+        in_w = []
+        for w, k in pairs:
+            if flipped >> k & 1:
+                in_w.append(w)
+            else:
+                out_w.append(w)
+        out_adj.append(tuple(out_w))
+        in_adj.append(tuple(in_w))
+    return Digraph._trusted(graph.n, tuple(out_adj), tuple(in_adj))
 
 
 def transpose(d: Digraph) -> Digraph:
@@ -278,23 +342,17 @@ def _check_towers(n: int, towers: Iterable[int]) -> frozenset[int]:
 def reception(d: Digraph, towers: Iterable[int], t: int) -> list[int]:
     """Directed reception at every vertex: sum of t - d(v, w) over towers v."""
     ts = _check_towers(d.n, towers)
-    dist = d.bounded_distances(t)
+    cover_out = d.cover(t)[0]
     rec = [0] * d.n
     for v in ts:
-        for w, dw in dist[v].items():
-            rec[w] += t - dw
+        for w, c in cover_out[v]:
+            rec[w] += c
     return rec
 
 
 def reception_undirected(g: Graph, towers: Iterable[int], t: int) -> list[int]:
     """Reception on an undirected graph (signal flows both ways)."""
-    ts = _check_towers(g.n, towers)
-    dist = g.bounded_distances(t)
-    rec = [0] * g.n
-    for v in ts:
-        for w, dw in dist[v].items():
-            rec[w] += t - dw
-    return rec
+    return reception(g.as_digraph(), towers, t)
 
 
 def is_dominating(d: Digraph, towers: Iterable[int], p: Params) -> bool:

@@ -18,17 +18,18 @@ import random
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .errors import InfeasibleParams, TooManyEdges
+from .errors import OutOfRange, TooManyEdges
 from .graphs import (
     Bits,
     Graph,
     Params,
     bits_from_index,
     build_graph,
+    index_from_bits,
     normalize_bits,
-    orient,
+    orient_index,
 )
-from .solver import gamma
+from .solver import _require_feasible, gamma
 
 _MAX_ENUM_EDGES = 24
 
@@ -74,8 +75,7 @@ class Jump:
 
 
 def _guard_enumeration(g: Graph, p: Params) -> None:
-    if p.r > p.t:
-        raise InfeasibleParams(f"r={p.r} exceeds t={p.t}")
+    _require_feasible(p)
     if len(g.edges) > _MAX_ENUM_EDGES:
         raise TooManyEdges(
             f"2^{len(g.edges)} orientations exceed the enumeration guard"
@@ -94,10 +94,9 @@ def _scan_range(
     """gamma for orientation indices [start, stop); value -> first index."""
     g = build_graph(n, edges)
     p = Params(t, r)
-    num_edges = len(edges)
     first: dict[int, int] = {}
     for index in range(start, stop):
-        value = gamma(orient(g, bits_from_index(index, num_edges)), p).gamma
+        value = gamma(orient_index(g, index), p).gamma
         if value not in first:
             first[value] = index
     return first
@@ -149,7 +148,7 @@ def domination_interval(
 
 def is_full(iv: DominationInterval) -> bool:
     """Does the attained set cover every integer between its extremes?"""
-    return all(v in iv.attained for v in range(iv.d, iv.D + 1))
+    return iv.full
 
 
 def flip_walk(
@@ -161,16 +160,15 @@ def flip_walk(
     Intermediate values depend on this flip order; only the endpoints
     and (for r = 1 and (2,2)) the one-step bound are order-free.
     """
-    if p.r > p.t:
-        raise InfeasibleParams(f"r={p.r} exceeds t={p.t}")
+    _require_feasible(p)
     num_edges = len(g.edges)
-    src = list(normalize_bits(from_bits, num_edges))
-    dst = normalize_bits(to_bits, num_edges)
-    flips = tuple(k for k in range(num_edges) if src[k] != dst[k])
-    values = [gamma(orient(g, src), p).gamma]
+    index = index_from_bits(normalize_bits(from_bits, num_edges))
+    target = index_from_bits(normalize_bits(to_bits, num_edges))
+    flips = tuple(k for k in range(num_edges) if (index ^ target) >> k & 1)
+    values = [gamma(orient_index(g, index), p).gamma]
     for k in flips:
-        src[k] ^= 1
-        values.append(gamma(orient(g, src), p).gamma)
+        index ^= 1 << k
+        values.append(gamma(orient_index(g, index), p).gamma)
     return WalkTrace(flip_sequence=flips, gamma_sequence=tuple(values))
 
 
@@ -186,13 +184,7 @@ def witness_orientation(
     g: Graph, p: Params, target: int
 ) -> tuple[int, ...] | None:
     """First enumerated orientation with gamma equal to target, if any."""
-    _guard_enumeration(g, p)
-    num_edges = len(g.edges)
-    for index in range(1 << num_edges):
-        bits = bits_from_index(index, num_edges)
-        if gamma(orient(g, bits), p).gamma == target:
-            return bits
-    return None
+    return domination_interval(g, p, keep_witnesses=True).witnesses.get(target)
 
 
 def _random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -269,8 +261,9 @@ def jump_search(
     values come from the solver, so each returned Jump is its own
     certificate.
     """
-    if p.r > p.t:
-        raise InfeasibleParams(f"r={p.r} exceeds t={p.t}")
+    _require_feasible(p)
+    if vertex_budget < 1:
+        raise OutOfRange(f"vertex budget must be >= 1, got {vertex_budget}")
     rng = random.Random(seed)
     found: list[Jump] = []
     low = min(4, vertex_budget)
@@ -279,10 +272,10 @@ def jump_search(
         g = _random_connected_graph(rng, n)
         num_edges = len(g.edges)
         bits = _sample_orientation(rng, g)
-        base = gamma(orient(g, bits), p).gamma
+        index = index_from_bits(bits)
+        base = gamma(orient_index(g, index), p).gamma
         for k in range(num_edges):
-            flipped = bits[:k] + (bits[k] ^ 1,) + bits[k + 1 :]
-            value = gamma(orient(g, flipped), p).gamma
+            value = gamma(orient_index(g, index ^ (1 << k)), p).gamma
             if abs(value - base) >= 2:
                 found.append(
                     Jump(

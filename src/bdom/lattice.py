@@ -24,14 +24,13 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateTorus,
-    InfeasibleParams,
     NotAMultiple,
     ParseError,
     TooLarge,
 )
 from .graphs import Digraph, Params, reception
 from .interval import domination_interval
-from .solver import gamma, gamma_undirected
+from .solver import _require_feasible, gamma, gamma_undirected
 
 CLAUSE_SELF_CONSISTENT = "self-consistent"
 CLAUSE_LITERAL = "literal"
@@ -128,15 +127,19 @@ def check(
     """
     if clause not in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
         raise ValueError(f"unknown clause interpretation {clause!r}")
-    if p.r > p.t:
-        raise InfeasibleParams(f"r={p.r} exceeds t={p.t}")
+    _require_feasible(p)
     d, towers = torus_digraph(pat, a, b)
     rec = reception(d, towers, p.t)
     dominating = all(x >= p.r for x in rec)
     nontower_exact = all(
         rec[v] == p.r for v in range(d.n) if v not in towers
     )
-    dist = d.bounded_distances(p.t)
+    # {u: d(v, u)} restricted to d < t, for the towers v: the loop below
+    # reads no other source
+    cover_out = d.cover(p.t)[0]
+    dist: list[dict[int, int]] = [{}] * d.n
+    for v in towers:
+        dist[v] = {w: p.t - c for w, c in cover_out[v]}
     strict = True
     strict_violations = []
     for u in range(d.n):

@@ -13,7 +13,10 @@ gamma() runs a depth-first branch and bound over tower sets:
   solution space;
 * a branch is cut when its size plus ceil(total deficit / best
   deficit-clamped single-tower contribution) reaches the incumbent,
-  which is seeded by greedy_upper_bound().
+  which is seeded by the greedy set of greedy_upper_bound().
+
+Each call builds the digraph's cover table for t once (Digraph.cover,
+cached on the digraph) and both the greedy seed and the search read it.
 
 Feasibility requires r <= t: the whole vertex set is then always
 dominating (every vertex gives itself t), while for r > t no set
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .errors import InfeasibleParams, TooLarge
-from .graphs import Digraph, Graph, Params, is_dominating
+from .graphs import CoverTables, Digraph, Graph, Params, is_dominating
 
 _BRUTEFORCE_MAX_VERTICES = 25
 
@@ -45,42 +49,35 @@ class GammaResult:
 
 
 def _require_feasible(p: Params) -> None:
+    """The one feasibility check of every exact entry point."""
     if p.r > p.t:
         raise InfeasibleParams(
             f"r={p.r} exceeds t={p.t}: towers cannot cover themselves"
         )
 
 
-def _cover_tables(
-    d: Digraph, t: int
-) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, ...]]]:
-    """Per-tower contributions and per-vertex candidate dominators.
+def _cover_tables(d: Digraph, t: int) -> CoverTables:
+    """(cover_out, cover_in) of d at strength t, as Digraph.cover.
 
-    cover_out[v] lists (w, t - d(v, w)) for every w the tower v reaches;
-    cover_in[w] lists the candidate towers that reach w, ascending.
+    The solver's one read of the tables, a function of its own so that
+    bench/tracing.py can time the table build under this name.
     """
-    dist = d.bounded_distances(t)
-    cover_out = [
-        tuple(sorted((w, t - dw) for w, dw in dist[v].items()))
-        for v in range(d.n)
-    ]
-    cover_in: list[list[int]] = [[] for _ in range(d.n)]
-    for v in range(d.n):
-        for w, _ in cover_out[v]:
-            cover_in[w].append(v)
-    return cover_out, [tuple(sorted(c)) for c in cover_in]
+    return d.cover(t)
 
 
-def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
-    """Dominating set built by repeatedly taking the tower that clears
-    the most remaining deficit (ties to the lowest id)."""
-    _require_feasible(p)
-    n = d.n
-    cover_out, _ = _cover_tables(d, p.t)
-    r = p.r
+def _greedy(
+    n: int, cover_out: Sequence[Sequence[tuple[int, int]]], r: int
+) -> tuple[set[int], int]:
+    """Greedy dominating set, and the largest r-clamped single-tower
+    contribution (the first round's best, when nothing is covered yet).
+
+    Repeatedly takes the tower that clears the most remaining deficit,
+    ties to the lowest id.
+    """
     rec = [0] * n
     total = r * n
     chosen: set[int] = set()
+    first_best = 0
     while total > 0:
         best_v = -1
         best_red = 0
@@ -94,6 +91,8 @@ def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
                     red += c if c < dw else dw
             if red > best_red:
                 best_v, best_red = v, red
+        if not chosen:
+            first_best = best_red
         # some deficient vertex always accepts itself, so progress is sure
         chosen.add(best_v)
         for w, c in cover_out[best_v]:
@@ -101,7 +100,14 @@ def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
             if dw > 0:
                 total -= c if c < dw else dw
             rec[w] += c
-    return frozenset(chosen)
+    return chosen, first_best
+
+
+def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
+    """Dominating set built by repeatedly taking the tower that clears
+    the most remaining deficit (ties to the lowest id)."""
+    _require_feasible(p)
+    return frozenset(_greedy(d.n, _cover_tables(d, p.t)[0], p.r)[0])
 
 
 def gamma(d: Digraph, p: Params) -> GammaResult:
@@ -112,15 +118,12 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
         return GammaResult(0, frozenset(), 0)
     cover_out, cover_in = _cover_tables(d, p.t)
     r = p.r
-    seed = greedy_upper_bound(d, p)
+    # static_max: constant denominator for the cheap first-pass bound
+    seed, static_max = _greedy(n, cover_out, r)
     best_size = len(seed)
     best_mask = 0
     for v in seed:
         best_mask |= 1 << v
-    # constant denominator for the cheap first-pass bound
-    static_max = max(
-        sum(c if c < r else r for _, c in cov) for cov in cover_out
-    )
     rec = [0] * n
     total = r * n
     nodes = 0
@@ -185,6 +188,9 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
             banned |= 1 << v
 
     dfs(0, 0, 0)
+    # dfs refers to itself; unbinding it frees the search state now
+    # instead of at the next cyclic garbage collection
+    del dfs
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return GammaResult(best_size, witness, nodes)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from bdom import Graph, build_graph
@@ -36,3 +37,22 @@ def connected_labeled_graphs(max_n: int) -> list[Graph]:
             if is_connected(n, edges):
                 out.append(build_graph(n, edges))
     return out
+
+
+def reference_bfs(out_adjacency, source: int, horizon: int) -> dict[int, int]:
+    """Reference dict-BFS: directed distances from source strictly below
+    horizon, the kernel the cover tables replaced."""
+    dist = {source: 0}
+    if horizon <= 1:
+        return dist
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        if du + 1 >= horizon:
+            continue
+        for w in out_adjacency[u]:
+            if w not in dist:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist

@@ -195,3 +195,24 @@ def test_json_is_key_sorted(capsys, s5_file):
     rc, out = run(capsys, "gamma", s5_file, "--t", "2", "--r", "2")
     assert rc == 0
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_exit_code_guard_jumps_budget(capsys):
+    rc = main(["jumps", "--t", "2", "--r", "1", "--budget", "0",
+               "--trials", "3", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: vertex budget") and err.count("\n") == 1
+
+
+def test_exit_code_internal_error(monkeypatch, capsys, s5_file):
+    def broken(g, p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("bdom.cli.gamma_undirected", broken)
+    rc = main(["gamma", s5_file, "--t", "2", "--r", "1"])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: boom (")
+    assert captured.err.count("\n") == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,13 +20,15 @@ from bdom import (
     index_from_bits,
     is_dominating,
     orient,
+    orient_index,
     parse_dg,
     parse_ug,
     reception,
     reception_undirected,
     transpose,
 )
-from bdom.families import grid, star, star_orientation
+from bdom.families import grid, path, star, star_orientation
+from conftest import reference_bfs
 
 
 # ---- construction -----------------------------------------------------------
@@ -121,6 +125,54 @@ def test_bounded_distances_truncates_at_horizon():
 def test_center_source_star_reaches_all_at_t2():
     d = star_orientation(9, 0)
     assert len(bounded_distances(d, 2)[0]) == 9
+
+
+def test_cover_matches_reference_bfs_on_random_digraphs():
+    rng = random.Random(20210524)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        arcs = [(u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < rng.choice((0.15, 0.3, 0.6))]
+        d = Digraph(n, arcs)
+        for t in range(1, 5):
+            cover_out, cover_in = d.cover(t)
+            reaching = [[] for _ in range(n)]
+            for v in range(n):
+                dist = reference_bfs(d.out_adjacency, v, t)
+                assert cover_out[v][0] == (v, t)
+                assert sorted(cover_out[v]) == sorted(
+                    (w, t - dw) for w, dw in dist.items()
+                )
+                for w in dist:
+                    reaching[w].append(v)
+            assert [list(c) for c in cover_in] == reaching  # ascending sources
+
+
+def test_cover_is_cached_per_strength():
+    d = star_orientation(5, 0)
+    assert d.cover(2) is d.cover(2)
+    assert d.cover(3) is not d.cover(2)
+
+
+def test_orient_index_matches_orient_on_every_index():
+    for g in (grid(2, 3), grid(3, 3), star(6), path(5)):
+        m = len(g.edges)
+        for i in range(1 << m):
+            bits = bits_from_index(i, m)
+            fast = orient_index(g, i)
+            # reference: the arcs through Digraph's validating constructor
+            checked = Digraph(g.n, [
+                (v, u) if b else (u, v) for (u, v), b in zip(g.edges, bits)
+            ])
+            assert fast == checked == orient(g, bits)
+            assert fast.in_adjacency == checked.in_adjacency
+
+
+def test_orient_index_rejects_out_of_range_index():
+    g = path(3)
+    for index in (-1, 4):
+        with pytest.raises(LengthMismatch):
+            orient_index(g, index)
 
 
 # ---- reception --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from bdom.lattice import (
     parse_pat,
     torus_digraph,
 )
+from conftest import reference_bfs
 
 
 def all_towers(pa: int, pb: int, tower: bool = True) -> TorusPattern:
@@ -107,6 +109,48 @@ def test_clauses_agree_when_t_equals_r():
     diag = builtin_patterns()["diag13"]
     assert check(diag, Params(2, 2), 6, 6, clause=CLAUSE_LITERAL).strict_efficient
     assert check(diag, Params(2, 2), 6, 6, clause=CLAUSE_SELF_CONSISTENT).strict_efficient
+
+
+def reference_violations(pat, p, a, b, clause):
+    """Strict-efficiency violations by the definition, tower by tower."""
+    d, towers = torus_digraph(pat, a, b)
+    dist = {v: reference_bfs(d.out_adjacency, v, p.t) for v in towers}
+    out = []
+    for u in range(d.n):
+        rec = sum(p.t - dist[v][u] for v in towers if u in dist[v])
+        close = [dist[v][u] for v in sorted(towers) if dist[v].get(u, p.t) < p.t - p.r]
+        if not close:
+            ok = rec == p.r
+        elif len(close) == 1:
+            ok = rec == (p.t if clause == CLAUSE_SELF_CONSISTENT else p.r) - close[0]
+        else:
+            ok = False
+        if not ok:
+            out.append(((u // b, u % b), rec))
+    return tuple(out)
+
+
+def test_check_matches_reference_on_random_patterns():
+    rng = random.Random(1729)
+    for _ in range(60):
+        pa, pb = rng.randint(1, 3), rng.randint(1, 3)
+
+        def cells(pick):
+            return tuple(tuple(pick() for _ in range(pb)) for _ in range(pa))
+
+        pat = TorusPattern(
+            towers=cells(lambda: rng.random() < 0.4),
+            east_bits=cells(lambda: rng.randint(0, 1)),
+            north_bits=cells(lambda: rng.randint(0, 1)),
+        )
+        a, b = pa * (-(-3 // pa) + rng.randint(0, 1)), pb * -(-3 // pb)
+        t = rng.randint(1, 5)
+        p = Params(t, rng.randint(1, t))
+        for clause in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
+            report = check(pat, p, a, b, clause=clause)
+            expected = reference_violations(pat, p, a, b, clause)
+            assert report.violations == expected
+            assert report.strict_efficient == (not expected)
 
 
 def test_scale_invariance_of_verdicts():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from bdom import (
     Digraph,
+    build_graph,
     InfeasibleParams,
     Params,
     TooLarge,
@@ -55,6 +56,26 @@ def test_infeasible_params_raise():
     for fn in (gamma, gamma_bruteforce, greedy_upper_bound):
         with pytest.raises(InfeasibleParams):
             fn(d, Params(2, 3))
+
+
+def test_search_size_and_witness_pinned():
+    # branch order, bounds and greedy seed fix these exact values
+    g = grid(4, 4)
+    res = gamma_undirected(g, Params(2, 2))
+    assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
+        8, [0, 3, 5, 6, 9, 10, 12, 15], 96)
+    res = gamma(orient(g, bits_from_index(11766603, len(g.edges))), Params(2, 2))
+    assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
+        10, [0, 1, 2, 5, 6, 7, 9, 12, 13, 15], 10)
+    rg = build_graph(18, [
+        (0, 1), (0, 3), (0, 7), (1, 2), (1, 5), (1, 9), (1, 13), (1, 16),
+        (1, 17), (2, 6), (2, 8), (2, 14), (2, 15), (3, 4), (3, 11), (4, 7),
+        (4, 11), (5, 6), (6, 17), (7, 11), (8, 10), (10, 12), (11, 12),
+        (12, 13), (13, 16), (14, 17),
+    ])
+    res = gamma(orient(rg, bits_from_index(37211386, 26)), Params(3, 1))
+    assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
+        6, [0, 1, 2, 9, 11, 12], 23)
 
 
 def test_bruteforce_single_arc():

@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (ParseError, GraphConstructionError, OSError, ValueError) as exc:
+    except (ParseError, GraphConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InfeasibleParams as exc:

@@ -11,7 +11,11 @@ class BdomError(Exception):
 
 
 class ParseError(BdomError):
-    """Malformed .ug/.dg/.pat text."""
+    """Malformed input: .ug/.dg/.pat text or parameter values."""
+
+
+class InvalidParams(ParseError):
+    """t or r below 1."""
 
 
 class GraphConstructionError(BdomError):

@@ -24,14 +24,17 @@ and the lattice checks all read this one table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DuplicateEdge,
+    GraphConstructionError,
+    InvalidParams,
     InvalidVertex,
     LengthMismatch,
     LoopEdge,
     ParseError,
+    TooManyEdges,
 )
 
 
@@ -49,7 +52,7 @@ class Params:
 
     def __post_init__(self) -> None:
         if self.t < 1 or self.r < 1:
-            raise ValueError(f"t and r must be positive, got ({self.t}, {self.r})")
+            raise InvalidParams(f"t and r must be positive, got ({self.t}, {self.r})")
 
 
 class Graph:
@@ -310,6 +313,160 @@ def orient_index(graph: Graph, index: int) -> Digraph:
         out_adj.append(tuple(out_w))
         in_adj.append(tuple(in_w))
     return Digraph._trusted(graph.n, tuple(out_adj), tuple(in_adj))
+
+
+def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int]:
+    """The automorphism sigma of graph acting on orientation indices.
+
+    sigma sends edge k = (u, v) to the edge {sigma u, sigma v}, number
+    pi(k), and the arc u -> v to sigma u -> sigma v, so bit pi(k) of the
+    image is bit k of the index, flipped iff sigma u > sigma v.  The map
+    is affine over GF(2) and is evaluated with one lookup table per byte
+    of the index.  Raises GraphConstructionError unless sigma maps the
+    edge set onto itself, and TooManyEdges above 24 edges (three bytes).
+    """
+    num_edges = len(graph.edges)
+    if num_edges > 24:
+        raise TooManyEdges(f"orientation indices of {num_edges} edges exceed 24 bits")
+    position = {e: k for k, e in enumerate(graph.edges)}
+    flip = 0
+    moved = []
+    for u, v in graph.edges:
+        a, b = sigma[u], sigma[v]
+        k = position.get((a, b) if a < b else (b, a))
+        if k is None:
+            raise GraphConstructionError(f"{tuple(sigma)} is not an automorphism")
+        moved.append(1 << k)
+        if a > b:
+            flip |= 1 << k
+    tables = []
+    for lo in range(0, 24, 8):
+        bits = moved[lo : lo + 8]
+        table = [0]
+        for bit in bits:
+            table += [x | bit for x in table]
+        tables.append(table)
+    t0, t1, t2 = tables
+    return lambda index: flip ^ t0[index & 255] ^ t1[index >> 8 & 255] ^ t2[index >> 16]
+
+
+# ---- automorphisms ---------------------------------------------------------
+#
+# Individualization-refinement, after nauty: refine an ordered vertex
+# partition until it is equitable, individualize a vertex of the first
+# non-singleton cell and repeat until the partition is discrete (a
+# leaf).  The leaf order of the first path fixes the base b_0, b_1, ...
+# Two leaves whose refinement paths have the same cell sizes define a
+# candidate permutation, kept only if it maps the edge set onto itself.
+
+
+def _refine(
+    adjacency: tuple[tuple[int, ...], ...], cells: list[list[int]]
+) -> list[list[int]]:
+    """Split cells by each vertex's multiset of neighbour cells until no
+    cell splits.  Sub-cells are ordered by that multiset, so relabelling
+    the graph and the input partition relabels the output alike."""
+    cell_of = [0] * len(adjacency)
+    while True:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(sorted(cell_of[w] for w in adjacency[v]))
+                groups.setdefault(key, []).append(v)
+            out.extend(groups[key] for key in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _individualize(
+    adjacency: tuple[tuple[int, ...], ...],
+    cells: list[list[int]],
+    j: int,
+    v: int,
+) -> list[list[int]]:
+    rest = [w for w in cells[j] if w != v]
+    return _refine(adjacency, cells[:j] + [[v], rest] + cells[j + 1 :])
+
+
+def _first_open(cells: list[list[int]]) -> int:
+    return next(j for j, cell in enumerate(cells) if len(cell) > 1)
+
+
+def automorphism_generators(graph: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of graph, as vertex maps
+    (sigma[v] is the image of v); empty when the group is trivial.
+
+    Searches the base levels deepest first and keeps a generator only
+    when it enlarges the orbit of that level's base point under the
+    generators found so far, so the set stays small (a star on n
+    vertices, with (n - 1)! automorphisms, gets n - 2).  Isolated
+    vertices are fixed: permuting them moves no edge.
+    """
+    adjacency = graph.adjacency
+    edges = set(graph.edges)
+    identity = list(range(graph.n))
+    active = [v for v in identity if adjacency[v]]
+    if not active:
+        return []
+    path = [_refine(adjacency, [active])]
+    while len(path[-1]) < len(active):
+        node = path[-1]
+        j = _first_open(node)
+        path.append(_individualize(adjacency, node, j, node[j][0]))
+    shapes = [tuple(map(len, node)) for node in path]
+    leaf = [cell[0] for cell in path[-1]]
+
+    def search(node: list[list[int]], level: int) -> tuple[int, ...] | None:
+        if tuple(map(len, node)) != shapes[level]:
+            return None
+        if level == len(path) - 1:
+            sigma = identity[:]
+            for a, cell in zip(leaf, node):
+                sigma[a] = cell[0]
+            if all(
+                ((sigma[u], sigma[v]) if sigma[u] < sigma[v] else (sigma[v], sigma[u]))
+                in edges
+                for u, v in graph.edges
+            ):
+                return tuple(sigma)
+            return None
+        j = _first_open(node)
+        for v in node[j]:
+            found = search(_individualize(adjacency, node, j, v), level + 1)
+            if found is not None:
+                return found
+        return None
+
+    generators: list[tuple[int, ...]] = []
+    for level in range(len(path) - 2, -1, -1):
+        node = path[level]
+        j = _first_open(node)
+        base = node[j][0]
+        orbit = {base}
+        for v in node[j]:
+            if v in orbit:
+                continue
+            sigma = search(_individualize(adjacency, node, j, v), level + 1)
+            if sigma is None:
+                continue
+            generators.append(sigma)
+            # every generator so far fixes the base points above this level
+            frontier = list(orbit)
+            while frontier:
+                x = frontier.pop()
+                for s in generators:
+                    if s[x] not in orbit:
+                        orbit.add(s[x])
+                        frontier.append(s[x])
+    return generators
 
 
 def transpose(d: Digraph) -> Digraph:

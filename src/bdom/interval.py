@@ -1,10 +1,15 @@
 """Domination values across all orientations of a graph.
 
 The 2^|E| orientations of a graph are indexed by the integer whose
-k-th bit orients edge k (0 = low id -> high id).  domination_interval
-computes gamma for every index, optionally in parallel: workers own
-disjoint index ranges, and merging keeps the lowest-index witness per
-value, so the result does not depend on the partitioning.
+k-th bit orients edge k (0 = low id -> high id).  An automorphism of
+the graph maps each orientation to an isomorphic one with the same
+gamma, so domination_interval solves one orientation per orbit of the
+automorphism group on indices: the orbit's lowest index.  Because gamma
+is constant on an orbit, the lowest index attaining each value is an
+orbit minimum, and the result, witnesses included, equals that of a scan
+of all 2^|E| indices.  The minima can be split across worker processes;
+merging keeps the lowest-index witness per value, so the result does not
+depend on the split either.
 
 flip_walk realizes the constructive interval arguments: walking between
 two orientations one arc flip at a time and recording gamma along the
@@ -14,20 +19,25 @@ graphs and orientations where one flip moves gamma by two or more.
 
 from __future__ import annotations
 
+import os
 import random
+from array import array
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Sequence
 
 from .errors import OutOfRange, TooManyEdges
 from .graphs import (
     Bits,
     Graph,
     Params,
+    automorphism_generators,
     bits_from_index,
     build_graph,
     index_from_bits,
     normalize_bits,
     orient_index,
+    orientation_image,
 )
 from .solver import _require_feasible, gamma
 
@@ -40,7 +50,7 @@ class DominationInterval:
 
     d/D are the extremes, attained is the full value set, full says
     whether every integer in [d, D] is attained, witnesses optionally
-    maps each attained value to the first orientation producing it.
+    maps each attained value to the lowest-index orientation producing it.
     """
 
     d: int
@@ -83,46 +93,79 @@ def _guard_enumeration(g: Graph, p: Params) -> None:
         )
 
 
-def _scan_range(
+def orbit_minima(g: Graph) -> Sequence[int]:
+    """The lowest orientation index of each orbit of Aut(g), ascending.
+
+    A range over all 2^|E| indices when no automorphism is found;
+    otherwise an array('I') built with a 2^|E|-byte bitmap: the first
+    unmarked index of an orbit is its minimum, and marking the closure
+    of that index under the generators retires the rest of the orbit.
+    """
+    count = 1 << len(g.edges)
+    images = [orientation_image(g, s) for s in automorphism_generators(g)]
+    if not images:
+        return range(count)
+    seen = bytearray(count)
+    minima = array("I")
+    stack = array("I")
+    index = seen.find(0)
+    while index >= 0:
+        minima.append(index)
+        seen[index] = 1
+        stack.append(index)
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image(x)
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        index = seen.find(0, index)
+    return minima
+
+
+def _scan(
     n: int,
     edges: tuple[tuple[int, int], ...],
     t: int,
     r: int,
-    start: int,
-    stop: int,
+    indices: Sequence[int],
 ) -> dict[int, int]:
-    """gamma for orientation indices [start, stop); value -> first index."""
+    """gamma for ascending orientation indices; value -> first index."""
     g = build_graph(n, edges)
     p = Params(t, r)
     first: dict[int, int] = {}
-    for index in range(start, stop):
+    for index in indices:
         value = gamma(orient_index(g, index), p).gamma
         if value not in first:
             first[value] = index
     return first
 
 
-def _scan_range_star(args: tuple) -> dict[int, int]:
-    return _scan_range(*args)
+def _scan_star(args: tuple) -> dict[int, int]:
+    return _scan(*args)
 
 
 def domination_interval(
     g: Graph, p: Params, keep_witnesses: bool = False, jobs: int = 1
 ) -> DominationInterval:
-    """Enumerate all 2^|E| orientations and aggregate their gamma values."""
+    """gamma over all 2^|E| orientations, solving one per symmetry orbit.
+
+    jobs worker processes (at most the CPU count) take strided slices of
+    the orbit minima; fewer than 4 minima per worker run serially.
+    """
     _guard_enumeration(g, p)
     num_edges = len(g.edges)
-    count = 1 << num_edges
-    if jobs <= 1 or count < 4 * jobs:
-        first = _scan_range(g.n, g.edges, p.t, p.r, 0, count)
+    minima = orbit_minima(g)
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1 or len(minima) < 4 * jobs:
+        first = _scan(g.n, g.edges, p.t, p.r, minima)
     else:
-        step = -(-count // jobs)
-        chunks = [
-            (g.n, g.edges, p.t, p.r, lo, min(lo + step, count))
-            for lo in range(0, count, step)
-        ]
+        # strided: gamma's cost drifts with the index, so every worker
+        # gets a share of each stretch
+        slices = [(g.n, g.edges, p.t, p.r, minima[j::jobs]) for j in range(jobs)]
         with Pool(processes=jobs) as pool:
-            partials = pool.map(_scan_range_star, chunks)
+            partials = pool.map(_scan_star, slices)
         first = {}
         for part in partials:
             for value, index in part.items():

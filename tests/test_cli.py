@@ -1,11 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bdom.interval
 from bdom.cli import main
+from bdom.errors import GraphConstructionError, ParseError
 from bdom.families import grid, star, star_orientation
-from bdom.graphs import format_dg, format_ug
-from bdom.lattice import builtin_patterns, format_pat
+from bdom.graphs import format_dg, format_ug, parse_dg, parse_ug
+from bdom.lattice import builtin_patterns, format_pat, parse_pat
 
 
 def run(capsys, *argv):
@@ -216,3 +220,66 @@ def test_exit_code_internal_error(monkeypatch, capsys, s5_file):
     assert captured.out == ""
     assert captured.err.startswith("internal error: RuntimeError: boom (")
     assert captured.err.count("\n") == 1
+
+
+def test_interval_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, capsys):
+    src = tmp_path / "g33.ug"
+    src.write_text(format_ug(grid(3, 3)), encoding="utf-8")  # 570 orbit minima
+    serial = run_json(capsys, "interval", str(src), "--t", "2", "--r", "1", "--witnesses")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(bdom.interval, "Pool", no_pool)
+    clamped = run_json(
+        capsys, "interval", str(src), "--t", "2", "--r", "1", "--witnesses", "--jobs", "64"
+    )
+    assert clamped["results"] == serial["results"]
+    assert clamped["params"]["jobs"] == 64
+
+
+def test_exit_code_nonpositive_params(capsys, s5_file):
+    assert main(["gamma", s5_file, "--t", "0", "--r", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: t and r must be positive")
+
+
+def test_exit_code_internal_value_error(monkeypatch, capsys, s5_file):
+    def broken(g, p):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("bdom.cli.gamma_undirected", broken)
+    assert main(["gamma", s5_file, "--t", "2", "--r", "1"]) == 5
+    assert capsys.readouterr().err.startswith("internal error: ValueError: internal (")
+
+
+# arbitrary text, and framed text: a header of small integers (a header
+# "n m" with a huge n is valid input that allocates n vertices) that
+# often matches the body's line count, over rows of pair- and .pat-like
+# tokens
+_cell = st.one_of(
+    st.integers(-1, 6).map(str),
+    st.sampled_from(["T", ".", "0", "1", "x", "1_0", "#", ""]),
+)
+_row = st.lists(_cell, min_size=1, max_size=3)
+
+
+@st.composite
+def _framed(draw):
+    body = draw(st.lists(st.one_of(_row.map(" ".join), _row.map("".join)), max_size=9))
+    first = draw(st.sampled_from([len(body) // 3, draw(st.integers(-1, 6))]))
+    second = draw(st.sampled_from([len(body), draw(st.integers(-1, 3))]))
+    return "\n".join([f"{first} {second}"] + body)
+
+
+_text = st.one_of(st.text(max_size=40), _framed())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_text)
+def test_parsers_raise_only_input_errors(text):
+    for parse in (parse_ug, parse_dg, parse_pat):
+        try:
+            parse(text)
+        except (ParseError, GraphConstructionError):
+            pass

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from bdom import (
     Digraph,
     DuplicateEdge,
+    GraphConstructionError,
     InvalidVertex,
     LengthMismatch,
     LoopEdge,
     Params,
     ParseError,
+    TooManyEdges,
+    automorphism_generators,
     bits_from_index,
     bounded_distances,
     build_graph,
@@ -21,6 +25,7 @@ from bdom import (
     is_dominating,
     orient,
     orient_index,
+    orientation_image,
     parse_dg,
     parse_ug,
     reception,
@@ -28,7 +33,7 @@ from bdom import (
     transpose,
 )
 from bdom.families import grid, path, star, star_orientation
-from conftest import reference_bfs
+from conftest import connected_labeled_graphs, reference_bfs
 
 
 # ---- construction -----------------------------------------------------------
@@ -173,6 +178,108 @@ def test_orient_index_rejects_out_of_range_index():
     for index in (-1, 4):
         with pytest.raises(LengthMismatch):
             orient_index(g, index)
+
+
+# ---- automorphisms -----------------------------------------------------------
+
+
+def _maps_edges_onto_edges(g, sigma) -> bool:
+    edges = set(g.edges)
+    return all(
+        (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) in edges
+        for u, v in g.edges
+    )
+
+
+def _generated_group(generators, n):
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in generators:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _cycle(n):
+    return build_graph(n, [(k, (k + 1) % n) for k in range(n)])
+
+
+def test_automorphism_generators_generate_the_brute_force_group():
+    complete4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    extra = [star(6), _cycle(6), complete4, grid(2, 3)]
+    for g in connected_labeled_graphs(5) + extra:
+        brute = {
+            sigma
+            for sigma in permutations(range(g.n))
+            if _maps_edges_onto_edges(g, sigma)
+        }
+        generators = automorphism_generators(g)
+        assert set(generators) <= brute
+        assert tuple(range(g.n)) not in generators
+        assert _generated_group(generators, g.n) == brute, g.edges
+
+
+def _automorphisms_by_extension(g):
+    """Reference: extend vertex maps 0, 1, ... one vertex at a time,
+    keeping adjacency to the vertices already mapped."""
+    adj = [set(a) for a in g.adjacency]
+    found = set()
+
+    def extend(sigma):
+        v = len(sigma)
+        if v == g.n:
+            found.add(tuple(sigma))
+            return
+        for w in set(range(g.n)) - set(sigma):
+            if all((u in adj[v]) == (sigma[u] in adj[w]) for u in range(v)):
+                extend(sigma + [w])
+
+    extend([])
+    return found
+
+
+def test_automorphism_generators_reject_refinement_look_alikes():
+    # a cubic graph on 12 vertices: degree refinement is powerless and
+    # some leaves with the first leaf's cell sizes are not automorphisms
+    g = build_graph(12, [
+        (0, 3), (0, 5), (0, 7), (1, 2), (1, 4), (1, 5), (2, 8), (2, 11), (3, 4),
+        (3, 6), (4, 10), (5, 7), (6, 8), (6, 9), (7, 11), (8, 10), (9, 10), (9, 11),
+    ])
+    generators = automorphism_generators(g)
+    assert all(_maps_edges_onto_edges(g, s) for s in generators)
+    assert _generated_group(generators, g.n) == _automorphisms_by_extension(g)
+
+
+def test_automorphism_generators_stay_few():
+    for n in range(3, 10):
+        assert len(automorphism_generators(star(n))) == n - 2
+    assert len(automorphism_generators(star(25))) == 23
+    # asymmetric: the smallest asymmetric tree, a spider with legs 1, 2, 3
+    spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    assert automorphism_generators(spider) == []
+    # isolated vertices stay fixed: swapping them moves no edge
+    assert automorphism_generators(build_graph(4, [(0, 1)])) == [(1, 0, 2, 3)]
+
+
+def test_orientation_image_relabels_the_orientation():
+    for g in (grid(2, 3), star(6), path(5), _cycle(6)):
+        for sigma in automorphism_generators(g):
+            image = orientation_image(g, sigma)
+            for i in range(1 << len(g.edges)):
+                moved = Digraph(g.n, [(sigma[u], sigma[v]) for u, v in orient_index(g, i).arcs])
+                assert orient_index(g, image(i)) == moved
+
+
+def test_orientation_image_rejects_non_automorphisms():
+    with pytest.raises(GraphConstructionError):
+        orientation_image(path(4), (1, 0, 2, 3))
+    with pytest.raises(TooManyEdges):
+        orientation_image(star(26), tuple(range(26)))
 
 
 # ---- reception --------------------------------------------------------------

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import bdom.interval
 from bdom import (
     DominationInterval,
     InfeasibleParams,
@@ -14,9 +17,14 @@ from bdom import (
     jump_search,
     max_step,
     orient,
+    orient_index,
     witness_orientation,
 )
-from bdom.families import grid, star
+from bdom.families import grid, path, star, star_interval
+from bdom.interval import orbit_minima
+from conftest import connected_labeled_graphs
+
+SIX_PAIRS = [Params(t, r) for t in (1, 2, 3) for r in range(1, t + 1)]
 
 
 def test_star5_22_interval():
@@ -154,3 +162,70 @@ def test_jump_search_certificates_recompute():
         assert gamma(d0, Params(5, 3)).gamma == j.gamma_before
         assert gamma(d1, Params(5, 3)).gamma == j.gamma_after
         assert abs(j.delta) >= 2
+
+
+# ---- one orientation per automorphism orbit ----------------------------------
+
+
+def _full_scan(g, p):
+    """Reference: every one of the 2^|E| indices, lowest index per value."""
+    first = {}
+    for i in range(1 << len(g.edges)):
+        first.setdefault(gamma(orient_index(g, i), p).gamma, i)
+    return first
+
+
+def test_orbit_minima_counts():
+    for n in range(3, 8):
+        # an orientation of a star is fixed up to symmetry by its in-leaf count
+        assert len(orbit_minima(star(n))) == n
+    assert len(orbit_minima(path(5))) == 10
+    assert len(orbit_minima(grid(3, 3))) == 570
+    spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    assert orbit_minima(spider) == range(64)
+
+
+def test_interval_matches_full_scan_on_sampled_graphs():
+    rng = random.Random(4)
+    small = [g for g in connected_labeled_graphs(5) if len(g.edges) <= 7]
+    hexagon = build_graph(6, [(k, (k + 1) % 6) for k in range(6)])
+    for g in rng.sample(small, 6) + [hexagon, grid(2, 3)]:
+        for p in SIX_PAIRS:
+            first = _full_scan(g, p)
+            iv = domination_interval(g, p, keep_witnesses=True)
+            assert (iv.d, iv.D, iv.attained) == (min(first), max(first), frozenset(first))
+            assert iv.witnesses == {
+                value: bits_from_index(i, len(g.edges))
+                for value, i in sorted(first.items())
+            }
+
+
+@pytest.mark.parametrize("p", [Params(1, 1), Params(2, 2), Params(3, 3), Params(2, 1)])
+def test_star16_interval_matches_closed_form(p):
+    # 2^15 orientations, 16 orbits: one gamma call per in-leaf count
+    assert domination_interval(star(16), p) == star_interval(16, p)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # asymmetric: every one of the 64 orientations is its own orbit
+        build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]),
+        grid(3, 3),  # 570 orbit minima
+    ],
+)
+def test_pool_path_matches_serial(monkeypatch, g):
+    p = Params(2, 2)
+    serial = domination_interval(g, p, keep_witnesses=True, jobs=1)
+    opened = []
+    real_pool = bdom.interval.Pool
+
+    def spy(processes):
+        opened.append(processes)
+        return real_pool(processes=processes)
+
+    monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bdom.interval, "Pool", spy)
+    pooled = domination_interval(g, p, keep_witnesses=True, jobs=2)
+    assert opened == [2]
+    assert pooled == serial

@@ -31,17 +31,10 @@ from .errors import (
     ParseError,
 )
 from .families import grid, path as path_graph, star
-from .graphs import (
-    Digraph,
-    Graph,
-    Params,
-    format_ug,
-    parse_dg,
-    parse_ug,
-)
+from .graphs import Digraph, Params, format_ug, parse_dg, parse_ug
 from .interval import domination_interval, flip_walk, jump_search, max_step
 from .lattice import CLAUSE_LITERAL, CLAUSE_SELF_CONSISTENT, builtin_patterns, check, parse_pat
-from .solver import gamma, gamma_bruteforce, gamma_undirected
+from .solver import gamma, gamma_bruteforce
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,11 +47,13 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_graph(path: Path, directed: bool) -> tuple[Graph | None, Digraph | None]:
+def _load_digraph(path: Path, directed: bool) -> tuple[Digraph, bool]:
+    """The file as a digraph, and whether it was read as directed: a .ug
+    becomes its doubly directed equivalent."""
     text = path.read_text(encoding="utf-8")
     if directed or path.suffix == ".dg":
-        return None, parse_dg(text)
-    return parse_ug(text), None
+        return parse_dg(text), True
+    return parse_ug(text).as_digraph(), False
 
 
 def _emit(report: dict) -> None:
@@ -76,36 +71,17 @@ def _wrap(command: str, digests: dict, params: dict, results, started: float) ->
     }
 
 
-def _cmd_gamma(args: argparse.Namespace) -> dict:
+def _cmd_solve(args: argparse.Namespace) -> dict:
+    """gamma or oracle: args.solve is the solver the subcommand picked."""
     started = time.monotonic()
     src = Path(args.graph)
-    g, d = _load_graph(src, args.directed)
+    d, directed = _load_digraph(src, args.directed)
     p = Params(args.t, args.r)
-    result = gamma(d, p) if d is not None else gamma_undirected(g, p)
+    result = args.solve(d, p)
     return _wrap(
-        "gamma",
+        args.command,
         {"graph": _digest(src)},
-        {"t": p.t, "r": p.r, "directed": d is not None},
-        {
-            "gamma": result.gamma,
-            "witness": sorted(result.witness),
-            "t": p.t,
-            "r": p.r,
-        },
-        started,
-    )
-
-
-def _cmd_oracle(args: argparse.Namespace) -> dict:
-    started = time.monotonic()
-    src = Path(args.graph)
-    g, d = _load_graph(src, args.directed)
-    p = Params(args.t, args.r)
-    result = gamma_bruteforce(d if d is not None else g.as_digraph(), p)
-    return _wrap(
-        "oracle",
-        {"graph": _digest(src)},
-        {"t": p.t, "r": p.r, "directed": d is not None},
+        {"t": p.t, "r": p.r, "directed": directed},
         {
             "gamma": result.gamma,
             "witness": sorted(result.witness),
@@ -281,13 +257,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", help=".ug or .dg file")
     add_params(sp)
     sp.add_argument("--directed", action="store_true", help="treat input as .dg")
-    sp.set_defaults(func=_cmd_gamma)
+    sp.set_defaults(func=_cmd_solve, solve=gamma)
 
     sp = sub.add_parser("oracle", help="brute-force domination number")
     sp.add_argument("graph")
     add_params(sp)
     sp.add_argument("--directed", action="store_true")
-    sp.set_defaults(func=_cmd_oracle)
+    sp.set_defaults(func=_cmd_solve, solve=gamma_bruteforce)
 
     sp = sub.add_parser("interval", help="gamma over all orientations")
     sp.add_argument("graph", help=".ug file")

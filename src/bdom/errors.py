@@ -39,7 +39,13 @@ class LengthMismatch(GraphConstructionError):
 
 
 class InfeasibleParams(BdomError):
-    """r > t: a tower cannot even cover itself, so no dominating set exists."""
+    """r > t: outside the model's domain r <= t, in which the whole
+    vertex set always dominates (each vertex gives itself t >= r).
+
+    Some digraphs do have dominating sets for r > t (both towers of the
+    doubly directed K2 at (2, 3) receive 3), but the model, and so
+    Params, excludes these pairs.
+    """
 
 
 class GuardError(BdomError):

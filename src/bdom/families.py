@@ -25,7 +25,6 @@ from .errors import (
 )
 from .graphs import Digraph, Graph, Params, build_graph, orient, orient_index
 from .interval import DominationInterval
-from .solver import _require_feasible
 
 
 def grid(m: int, n: int) -> Graph:
@@ -126,7 +125,6 @@ def star_interval(n: int, p: Params) -> DominationInterval:
     (1,1) -> [n, n]; (2,2) -> [n-1, n]; t = r > 2 -> [2, n];
     t > r -> [1, n-1].  Full in every case.
     """
-    _require_feasible(p)
     if n < 3:
         raise OutOfFormulaDomain(f"star interval formulas need n >= 3, got {n}")
     if p.t == p.r:

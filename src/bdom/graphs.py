@@ -7,9 +7,11 @@ edge k from its low endpoint to its high endpoint, bit k = 1 the other
 way around.  There are 2^|E| orientations and they are enumerated by
 treating the bit-vector as a binary integer, bit k = (index >> k) & 1.
 
-A Digraph stores one arc per oriented edge.  Anti-parallel arc pairs
-are allowed (that is how an undirected graph is re-expressed for the
-directed machinery); same-direction duplicates and loops are not.
+A Digraph holds n, its ascending out-adjacency (one arc per oriented
+edge) and its cover tables, nothing else.  Anti-parallel arc pairs are
+allowed (that is how an undirected graph is re-expressed for the
+directed machinery, and how undirected reception is computed);
+same-direction duplicates and loops are not.
 
 Signal model: a tower at v sends strength t - d(v, w) to every vertex w
 at directed distance d(v, w) < t, including strength t to itself.  The
@@ -18,7 +20,10 @@ table per (digraph, t), built once by breadth-first search truncated at
 depth t - 1: cover_out[v] lists (w, t - d(v, w)) for every w the tower v
 reaches and cover_in[w] the towers reaching w, ascending.  Unreachable
 pairs are absent rather than set to a sentinel.  Reception, the solver
-and the lattice checks all read this one table.
+and the lattice checks all read this one table; it is also the only
+source of in-neighbours and distances.
+
+Params holds (t, r) and is the one place where 1 <= r <= t is checked.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     DuplicateEdge,
     GraphConstructionError,
+    InfeasibleParams,
     InvalidParams,
     InvalidVertex,
     LengthMismatch,
@@ -40,11 +46,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Params:
-    """Transmission strength t and required reception r, both >= 1.
+    """Transmission strength t and required reception r, 1 <= r <= t.
 
-    r <= t is what makes domination feasible, but it is checked by the
-    solver entry points, not here: reception itself is well defined for
-    any positive pair.
+    r <= t is the model's domain: every vertex then gives itself t >= r,
+    so the whole vertex set always dominates.  This is the one place it
+    is checked: a value below 1 raises InvalidParams, r > t raises
+    InfeasibleParams.
     """
 
     t: int
@@ -53,6 +60,10 @@ class Params:
     def __post_init__(self) -> None:
         if self.t < 1 or self.r < 1:
             raise InvalidParams(f"t and r must be positive, got ({self.t}, {self.r})")
+        if self.r > self.t:
+            raise InfeasibleParams(
+                f"r={self.r} exceeds t={self.t}, outside the model's domain r <= t"
+            )
 
 
 class Graph:
@@ -97,7 +108,7 @@ class Graph:
     def as_digraph(self) -> "Digraph":
         """The doubly-directed equivalent: each edge becomes two opposite arcs."""
         if self._digraph is None:
-            self._digraph = Digraph._trusted(self.n, self.adjacency, self.adjacency)
+            self._digraph = Digraph._trusted(self.n, self.adjacency)
         return self._digraph
 
 
@@ -109,7 +120,7 @@ CoverTables = tuple[
 class Digraph:
     """Directed graph without loops or same-direction parallel arcs."""
 
-    __slots__ = ("n", "out_adjacency", "in_adjacency", "_cover_cache")
+    __slots__ = ("n", "out_adjacency", "_cover_cache")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         out_adj: list[list[int]] = [[] for _ in range(n)]
@@ -123,32 +134,20 @@ class Digraph:
                 raise DuplicateEdge(f"parallel arc ({u}, {v})")
             seen.add((u, v))
             out_adj[u].append(v)
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        for u in range(n):
-            out_adj[u].sort()
-            for v in out_adj[u]:
-                in_adj[v].append(u)
         self.n = n
         self.out_adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(a) for a in out_adj
-        )
-        self.in_adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in in_adj
+            tuple(sorted(a)) for a in out_adj
         )
         self._cover_cache: dict[int, CoverTables] = {}
 
     @classmethod
     def _trusted(
-        cls,
-        n: int,
-        out_adjacency: tuple[tuple[int, ...], ...],
-        in_adjacency: tuple[tuple[int, ...], ...],
+        cls, n: int, out_adjacency: tuple[tuple[int, ...], ...]
     ) -> "Digraph":
         """Digraph from sorted adjacency tuples known to be valid."""
         d = object.__new__(cls)
         d.n = n
         d.out_adjacency = out_adjacency
-        d.in_adjacency = in_adjacency
         d._cover_cache = {}
         return d
 
@@ -183,13 +182,6 @@ class Digraph:
         if tables is None:
             tables = self._cover_cache[t] = _build_cover(self.out_adjacency, t)
         return tables
-
-    def bounded_distances(self, horizon: int) -> tuple[dict[int, int], ...]:
-        """Per-source maps {w: d(v, w)} restricted to d < horizon."""
-        return tuple(
-            {w: horizon - c for w, c in pairs}
-            for pairs in self.cover(horizon)[0]
-        )
 
 
 def _build_cover(
@@ -298,21 +290,16 @@ def orient_index(graph: Graph, index: int) -> Digraph:
             f"orientation index {index} out of range for {len(graph.edges)} edges"
         )
     out_adj = []
-    in_adj = []
     for high_mask, pairs in graph._incidence:
         # the arc to w leaves this vertex iff bit k equals "this is the
         # high endpoint", i.e. iff bit k of index ^ high_mask is 0
         flipped = index ^ high_mask
         out_w = []
-        in_w = []
         for w, k in pairs:
-            if flipped >> k & 1:
-                in_w.append(w)
-            else:
+            if not flipped >> k & 1:
                 out_w.append(w)
         out_adj.append(tuple(out_w))
-        in_adj.append(tuple(in_w))
-    return Digraph._trusted(graph.n, tuple(out_adj), tuple(in_adj))
+    return Digraph._trusted(graph.n, tuple(out_adj))
 
 
 def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int]:
@@ -477,17 +464,6 @@ def transpose(d: Digraph) -> Digraph:
 # ---- reception -------------------------------------------------------------
 
 
-def bounded_distances(d: Digraph, horizon: int) -> tuple[dict[int, int], ...]:
-    """Per-source directed distances strictly below horizon.
-
-    Vertices with no directed path from the source are absent (their
-    distance is infinite, and a tower there would contribute nothing).
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return d.bounded_distances(horizon)
-
-
 def _check_towers(n: int, towers: Iterable[int]) -> frozenset[int]:
     ts = frozenset(towers)
     for v in ts:
@@ -505,11 +481,6 @@ def reception(d: Digraph, towers: Iterable[int], t: int) -> list[int]:
         for w, c in cover_out[v]:
             rec[w] += c
     return rec
-
-
-def reception_undirected(g: Graph, towers: Iterable[int], t: int) -> list[int]:
-    """Reception on an undirected graph (signal flows both ways)."""
-    return reception(g.as_digraph(), towers, t)
 
 
 def is_dominating(d: Digraph, towers: Iterable[int], p: Params) -> bool:

@@ -39,7 +39,7 @@ from .graphs import (
     orient_index,
     orientation_image,
 )
-from .solver import _require_feasible, gamma
+from .solver import gamma
 
 _MAX_ENUM_EDGES = 24
 
@@ -82,15 +82,6 @@ class Jump:
     @property
     def delta(self) -> int:
         return self.gamma_after - self.gamma_before
-
-
-def _guard_enumeration(g: Graph, p: Params) -> None:
-    _require_feasible(p)
-    if len(g.edges) > _MAX_ENUM_EDGES:
-        raise TooManyEdges(
-            f"2^{len(g.edges)} orientations exceed the enumeration guard"
-            f" (|E| <= {_MAX_ENUM_EDGES})"
-        )
 
 
 def orbit_minima(g: Graph) -> Sequence[int]:
@@ -142,10 +133,6 @@ def _scan(
     return first
 
 
-def _scan_star(args: tuple) -> dict[int, int]:
-    return _scan(*args)
-
-
 def domination_interval(
     g: Graph, p: Params, keep_witnesses: bool = False, jobs: int = 1
 ) -> DominationInterval:
@@ -154,8 +141,12 @@ def domination_interval(
     jobs worker processes (at most the CPU count) take strided slices of
     the orbit minima; fewer than 4 minima per worker run serially.
     """
-    _guard_enumeration(g, p)
     num_edges = len(g.edges)
+    if num_edges > _MAX_ENUM_EDGES:
+        raise TooManyEdges(
+            f"2^{num_edges} orientations exceed the enumeration guard"
+            f" (|E| <= {_MAX_ENUM_EDGES})"
+        )
     minima = orbit_minima(g)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(minima) < 4 * jobs:
@@ -165,7 +156,7 @@ def domination_interval(
         # gets a share of each stretch
         slices = [(g.n, g.edges, p.t, p.r, minima[j::jobs]) for j in range(jobs)]
         with Pool(processes=jobs) as pool:
-            partials = pool.map(_scan_star, slices)
+            partials = pool.starmap(_scan, slices)
         first = {}
         for part in partials:
             for value, index in part.items():
@@ -189,11 +180,6 @@ def domination_interval(
     )
 
 
-def is_full(iv: DominationInterval) -> bool:
-    """Does the attained set cover every integer between its extremes?"""
-    return iv.full
-
-
 def flip_walk(
     g: Graph, from_bits: Bits | str, to_bits: Bits | str, p: Params
 ) -> WalkTrace:
@@ -203,7 +189,6 @@ def flip_walk(
     Intermediate values depend on this flip order; only the endpoints
     and (for r = 1 and (2,2)) the one-step bound are order-free.
     """
-    _require_feasible(p)
     num_edges = len(g.edges)
     index = index_from_bits(normalize_bits(from_bits, num_edges))
     target = index_from_bits(normalize_bits(to_bits, num_edges))
@@ -221,13 +206,6 @@ def max_step(trace: WalkTrace) -> int:
     return max(
         (abs(b - a) for a, b in zip(seq, seq[1:])), default=0
     )
-
-
-def witness_orientation(
-    g: Graph, p: Params, target: int
-) -> tuple[int, ...] | None:
-    """First enumerated orientation with gamma equal to target, if any."""
-    return domination_interval(g, p, keep_witnesses=True).witnesses.get(target)
 
 
 def _random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -304,7 +282,6 @@ def jump_search(
     values come from the solver, so each returned Jump is its own
     certificate.
     """
-    _require_feasible(p)
     if vertex_budget < 1:
         raise OutOfRange(f"vertex budget must be >= 1, got {vertex_budget}")
     rng = random.Random(seed)

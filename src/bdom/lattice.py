@@ -30,7 +30,7 @@ from .errors import (
 )
 from .graphs import Digraph, Params, reception
 from .interval import domination_interval
-from .solver import _require_feasible, gamma, gamma_undirected
+from .solver import gamma, gamma_undirected
 
 CLAUSE_SELF_CONSISTENT = "self-consistent"
 CLAUSE_LITERAL = "literal"
@@ -127,7 +127,6 @@ def check(
     """
     if clause not in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
         raise ValueError(f"unknown clause interpretation {clause!r}")
-    _require_feasible(p)
     d, towers = torus_digraph(pat, a, b)
     rec = reception(d, towers, p.t)
     dominating = all(x >= p.r for x in rec)

@@ -13,14 +13,17 @@ gamma() runs a depth-first branch and bound over tower sets:
   solution space;
 * a branch is cut when its size plus ceil(total deficit / best
   deficit-clamped single-tower contribution) reaches the incumbent,
-  which is seeded by the greedy set of greedy_upper_bound().
+  which is seeded by the greedy set of _greedy().
 
 Each call builds the digraph's cover table for t once (Digraph.cover,
 cached on the digraph) and both the greedy seed and the search read it.
+The deficit-clamped contribution of a tower is computed in two places
+only: _best_tower (greedy rounds and the bound) and _place (placing a
+tower).
 
-Feasibility requires r <= t: the whole vertex set is then always
-dominating (every vertex gives itself t), while for r > t no set
-works, which is reported as InfeasibleParams rather than infinity.
+Params keeps r <= t, the model's domain: in it every vertex gives
+itself t >= r, so the whole vertex set always dominates and gamma is
+defined.
 
 gamma_bruteforce() is the independent oracle: it tries all k-subsets
 in size-then-lexicographic order and returns the first dominating one.
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InfeasibleParams, TooLarge
+from .errors import TooLarge
 from .graphs import CoverTables, Digraph, Graph, Params, is_dominating
 
 _BRUTEFORCE_MAX_VERTICES = 25
@@ -48,14 +51,6 @@ class GammaResult:
     nodes_explored: int
 
 
-def _require_feasible(p: Params) -> None:
-    """The one feasibility check of every exact entry point."""
-    if p.r > p.t:
-        raise InfeasibleParams(
-            f"r={p.r} exceeds t={p.t}: towers cannot cover themselves"
-        )
-
-
 def _cover_tables(d: Digraph, t: int) -> CoverTables:
     """(cover_out, cover_in) of d at strength t, as Digraph.cover.
 
@@ -65,65 +60,82 @@ def _cover_tables(d: Digraph, t: int) -> CoverTables:
     return d.cover(t)
 
 
-def _greedy(
-    n: int, cover_out: Sequence[Sequence[tuple[int, int]]], r: int
-) -> tuple[set[int], int]:
-    """Greedy dominating set, and the largest r-clamped single-tower
-    contribution (the first round's best, when nothing is covered yet).
+Pairs = Sequence[tuple[int, int]]
+
+
+def _best_tower(
+    cover_out: Sequence[Pairs], rec: list[int], r: int, blocked: int
+) -> tuple[int, int]:
+    """The tower outside the mask blocked that clears the most remaining
+    deficit, ties to the lowest id, and that amount; (-1, 0) when none
+    clears any."""
+    best_v = -1
+    best = 0
+    for v in range(len(cover_out)):
+        if blocked >> v & 1:
+            continue
+        gain = 0
+        for w, c in cover_out[v]:
+            dw = r - rec[w]
+            if dw > 0:
+                gain += c if c < dw else dw
+        if gain > best:
+            best_v, best = v, gain
+    return best_v, best
+
+
+def _place(pairs: Pairs, rec: list[int], r: int) -> int:
+    """Add one tower's signal, its cover_out pairs, to rec; returns the
+    deficit it clears."""
+    cleared = 0
+    for w, c in pairs:
+        dw = r - rec[w]
+        if dw > 0:
+            cleared += c if c < dw else dw
+        rec[w] += c
+    return cleared
+
+
+def _greedy(cover_out: Sequence[Pairs], r: int) -> tuple[int, int]:
+    """Greedy dominating set as a vertex mask, and the largest r-clamped
+    single-tower contribution (the first round's best, when nothing is
+    covered yet).
 
     Repeatedly takes the tower that clears the most remaining deficit,
     ties to the lowest id.
     """
+    n = len(cover_out)
     rec = [0] * n
     total = r * n
-    chosen: set[int] = set()
+    chosen = 0
     first_best = 0
     while total > 0:
-        best_v = -1
-        best_red = 0
-        for v in range(n):
-            if v in chosen:
-                continue
-            red = 0
-            for w, c in cover_out[v]:
-                dw = r - rec[w]
-                if dw > 0:
-                    red += c if c < dw else dw
-            if red > best_red:
-                best_v, best_red = v, red
+        v, gain = _best_tower(cover_out, rec, r, chosen)
         if not chosen:
-            first_best = best_red
+            first_best = gain
         # some deficient vertex always accepts itself, so progress is sure
-        chosen.add(best_v)
-        for w, c in cover_out[best_v]:
-            dw = r - rec[w]
-            if dw > 0:
-                total -= c if c < dw else dw
-            rec[w] += c
+        chosen |= 1 << v
+        total -= _place(cover_out[v], rec, r)
     return chosen, first_best
 
 
 def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
     """Dominating set built by repeatedly taking the tower that clears
     the most remaining deficit (ties to the lowest id)."""
-    _require_feasible(p)
-    return frozenset(_greedy(d.n, _cover_tables(d, p.t)[0], p.r)[0])
+    mask = _greedy(_cover_tables(d, p.t)[0], p.r)[0]
+    return frozenset(v for v in range(d.n) if mask >> v & 1)
 
 
 def gamma(d: Digraph, p: Params) -> GammaResult:
     """Exact minimum size of a directed (t,r) broadcast dominating set."""
-    _require_feasible(p)
     n = d.n
     if n == 0:
         return GammaResult(0, frozenset(), 0)
     cover_out, cover_in = _cover_tables(d, p.t)
     r = p.r
     # static_max: constant denominator for the cheap first-pass bound
-    seed, static_max = _greedy(n, cover_out, r)
-    best_size = len(seed)
-    best_mask = 0
-    for v in seed:
-        best_mask |= 1 << v
+    best_mask, static_max = _greedy(cover_out, r)
+    best_size = best_mask.bit_count()
     rec = [0] * n
     total = r * n
     nodes = 0
@@ -143,17 +155,7 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
         if size + lb < best_size:
             # tighter denominator: best deficit-clamped contribution
             # among towers still placeable on this branch
-            denom = 0
-            for v in range(n):
-                if blocked >> v & 1:
-                    continue
-                s = 0
-                for w, c in cover_out[v]:
-                    dw = r - rec[w]
-                    if dw > 0:
-                        s += c if c < dw else dw
-                if s > denom:
-                    denom = s
+            denom = _best_tower(cover_out, rec, r, blocked)[1]
             if denom == 0:
                 return
             lb = -(-total // denom)
@@ -174,15 +176,11 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
                     break
         assert branch_avail is not None
         for v in branch_avail:
-            delta = 0
-            for w, c in cover_out[v]:
-                dw = r - rec[w]
-                if dw > 0:
-                    delta += c if c < dw else dw
-                rec[w] += c
+            pairs = cover_out[v]
+            delta = _place(pairs, rec, r)
             total -= delta
             dfs(size + 1, chosen | (1 << v), banned)
-            for w, c in cover_out[v]:
+            for w, c in pairs:
                 rec[w] -= c
             total += delta
             banned |= 1 << v
@@ -206,7 +204,6 @@ def gamma_bruteforce(d: Digraph, p: Params) -> GammaResult:
     Iterates k = 0, 1, 2, ... and every k-subset in lexicographic
     order; the first dominating subset found is optimal.
     """
-    _require_feasible(p)
     if d.n > _BRUTEFORCE_MAX_VERTICES:
         raise TooLarge(
             f"brute force is guarded at n <= {_BRUTEFORCE_MAX_VERTICES}, got {d.n}"

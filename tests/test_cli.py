@@ -1,9 +1,15 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdom.cli
 import bdom.interval
 from bdom.cli import main
 from bdom.errors import GraphConstructionError, ParseError
@@ -81,6 +87,26 @@ def test_oracle_agrees_with_gamma(capsys, s5_file):
     solver = run_json(capsys, "gamma", s5_file, "--t", "2", "--r", "2")
     oracle = run_json(capsys, "oracle", s5_file, "--t", "2", "--r", "2")
     assert solver["results"]["gamma"] == oracle["results"]["gamma"] == 4
+
+
+def test_gamma_and_oracle_run_their_own_solver(monkeypatch, capsys, s5_file):
+    calls = []
+
+    def spy(d, p):
+        calls.append(d.n)
+        return real(d, p)
+
+    real = bdom.cli.gamma_bruteforce
+    monkeypatch.setattr("bdom.cli.gamma_bruteforce", spy)
+    solver = run_json(capsys, "gamma", s5_file, "--t", "2", "--r", "2")
+    assert calls == []
+    oracle = run_json(capsys, "oracle", s5_file, "--t", "2", "--r", "2")
+    assert calls == [5]
+    assert (solver["command"], oracle["command"]) == ("gamma", "oracle")
+    for report in (solver, oracle):
+        report.pop("command")
+        report.pop("timing_ms")
+    assert solver == oracle
 
 
 def test_interval_star5(capsys, s5_file):
@@ -213,7 +239,7 @@ def test_exit_code_internal_error(monkeypatch, capsys, s5_file):
     def broken(g, p):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("bdom.cli.gamma_undirected", broken)
+    monkeypatch.setattr("bdom.cli.gamma", broken)
     rc = main(["gamma", s5_file, "--t", "2", "--r", "1"])
     captured = capsys.readouterr()
     assert rc == 5
@@ -248,7 +274,7 @@ def test_exit_code_internal_value_error(monkeypatch, capsys, s5_file):
     def broken(g, p):
         raise ValueError("internal")
 
-    monkeypatch.setattr("bdom.cli.gamma_undirected", broken)
+    monkeypatch.setattr("bdom.cli.gamma", broken)
     assert main(["gamma", s5_file, "--t", "2", "--r", "1"]) == 5
     assert capsys.readouterr().err.startswith("internal error: ValueError: internal (")
 
@@ -283,3 +309,90 @@ def test_parsers_raise_only_input_errors(text):
             parse(text)
         except (ParseError, GraphConstructionError):
             pass
+
+
+_PARAM_COMMANDS = {
+    "gamma": ["gamma", "{graph}"],
+    "oracle": ["oracle", "{graph}"],
+    "interval": ["interval", "{graph}"],
+    "walk": ["walk", "{graph}", "--from", "0000", "--to", "1111"],
+    "torus": ["torus", "--pattern", "diag13"],
+    "jumps": ["jumps", "--trials", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PARAM_COMMANDS))
+def test_params_exit_codes_on_every_subcommand(command, capsys, s5_file):
+    argv = [a.format(graph=s5_file) for a in _PARAM_COMMANDS[command]]
+    assert main(argv + ["--t", "1", "--r", "2"]) == 3
+    assert main(argv + ["--t", "0", "--r", "5"]) == 2
+    assert main(argv + ["--t", "2", "--r", "2"]) == 0
+
+
+# CLI-level fuzz: small .ug/.dg/.pat files, header-shaped or free text.
+# Numbers stay at most 8 and files at most 10 lines: a valid header with
+# a large vertex count is accepted input that allocates that many vertices.
+_num = st.integers(-1, 8).map(str)
+
+
+@st.composite
+def _graph_text(draw):
+    n = draw(st.integers(0, 8))
+    if n > 1 and draw(st.integers(0, 3)):  # mostly in range and loop-free
+        end = st.integers(0, n - 1)
+        pair = st.tuples(end, end).filter(lambda e: e[0] != e[1]).map(
+            lambda e: f"{e[0]} {e[1]}"
+        )
+    else:
+        pair = st.tuples(_num, _num).map(" ".join)
+    body = draw(st.lists(pair, max_size=9))
+    m = draw(st.sampled_from([len(body)] * 3 + [draw(st.integers(0, 9))]))
+    return "\n".join([f"{n} {m}"] + body) + "\n"
+
+
+@st.composite
+def _pat_text(draw):
+    pa, pb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def rows(alphabet):
+        row = st.text(alphabet, min_size=pb, max_size=pb)
+        return draw(st.lists(row, min_size=pa, max_size=pa))
+
+    return "\n".join([f"{pa} {pb}"] + rows("T.") + rows("01") + rows("01")) + "\n"
+
+
+def _small_text(text):
+    return text.count("\n") < 10 and all(
+        int(x) <= 8 for x in re.findall(r"\d+", text)
+    )
+
+
+_free_text = st.text(max_size=40).filter(_small_text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["gamma", "oracle", "interval", "torus"]),
+    st.sampled_from([".ug", ".dg"]),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_cli_exit_codes_on_fuzzed_files(command, suffix, t, data):
+    r = data.draw(st.one_of(st.integers(1, max(t, 1)), st.integers(0, 4)))
+    if command == "torus":
+        suffix = ".pat"
+        text = data.draw(st.one_of(_pat_text(), _free_text))
+    else:
+        text = data.draw(st.one_of(_graph_text(), _free_text))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / f"input{suffix}"
+        src.write_text(text, encoding="utf-8")
+        target = ["--pattern", str(src)] if command == "torus" else [str(src)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([command, *target, "--t", str(t), "--r", str(r)])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    if rc == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)

@@ -9,6 +9,8 @@ from bdom import (
     Digraph,
     DuplicateEdge,
     GraphConstructionError,
+    InfeasibleParams,
+    InvalidParams,
     InvalidVertex,
     LengthMismatch,
     LoopEdge,
@@ -17,7 +19,6 @@ from bdom import (
     TooManyEdges,
     automorphism_generators,
     bits_from_index,
-    bounded_distances,
     build_graph,
     format_dg,
     format_ug,
@@ -29,7 +30,6 @@ from bdom import (
     parse_dg,
     parse_ug,
     reception,
-    reception_undirected,
     transpose,
 )
 from bdom.families import grid, path, star, star_orientation
@@ -117,19 +117,26 @@ def test_transpose_examples_and_involution():
 # ---- distances --------------------------------------------------------------
 
 
+def cover_distances(d, horizon):
+    """Per-source {w: d(v, w)} for d < horizon, read off d.cover(horizon)."""
+    return tuple(
+        {w: horizon - c for w, c in pairs} for pairs in d.cover(horizon)[0]
+    )
+
+
 def test_bounded_distances_single_arc():
     d = Digraph(2, [(0, 1)])
-    assert bounded_distances(d, 2) == ({0: 0, 1: 1}, {1: 0})
+    assert cover_distances(d, 2) == ({0: 0, 1: 1}, {1: 0})
 
 
 def test_bounded_distances_truncates_at_horizon():
     d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert bounded_distances(d, 3)[0] == {0: 0, 1: 1, 2: 2}
+    assert cover_distances(d, 3)[0] == {0: 0, 1: 1, 2: 2}
 
 
 def test_center_source_star_reaches_all_at_t2():
     d = star_orientation(9, 0)
-    assert len(bounded_distances(d, 2)[0]) == 9
+    assert len(d.cover(2)[0][0]) == 9
 
 
 def test_cover_matches_reference_bfs_on_random_digraphs():
@@ -170,7 +177,7 @@ def test_orient_index_matches_orient_on_every_index():
                 (v, u) if b else (u, v) for (u, v), b in zip(g.edges, bits)
             ])
             assert fast == checked == orient(g, bits)
-            assert fast.in_adjacency == checked.in_adjacency
+            assert fast.arcs == checked.arcs
 
 
 def test_orient_index_rejects_out_of_range_index():
@@ -304,7 +311,7 @@ def test_reception_undirected_worked_grid():
     # towers at ids 10, 2, 14 of the 3x5 grid; the far corner hears two
     # towers at distance 2 each, the top-center hears all three
     g = grid(3, 5)
-    rec = reception_undirected(g, {10, 2, 14}, 3)
+    rec = reception(g.as_digraph(), {10, 2, 14}, 3)
     assert rec[0] == 2
     assert rec[12] == 3
     assert min(rec) >= 2
@@ -312,7 +319,7 @@ def test_reception_undirected_worked_grid():
 
 def test_reception_undirected_all_towers_t1():
     g = grid(2, 3)
-    assert reception_undirected(g, set(range(6)), 1) == [1] * 6
+    assert reception(g.as_digraph(), set(range(6)), 1) == [1] * 6
 
 
 def test_reception_rejects_stray_tower():
@@ -325,6 +332,14 @@ def test_is_dominating_star_cases():
     assert is_dominating(d, {0}, Params(2, 1))
     assert not is_dominating(d, {0}, Params(2, 2))
     assert not is_dominating(d, set(), Params(2, 1))
+
+
+def test_params_checks_the_domain():
+    with pytest.raises(InfeasibleParams):
+        Params(1, 2)
+    # both checks fail here; the input error comes first (CLI exit 2, not 3)
+    with pytest.raises(InvalidParams):
+        Params(0, 5)
 
 
 # ---- properties -------------------------------------------------------------
@@ -354,7 +369,7 @@ def test_directed_reception_bounded_by_undirected_exhaustive():
     m = len(g.edges)
     for towers in ({0}, {1, 2}, {0, 3}):
         for t in (1, 2, 3):
-            und = reception_undirected(g, towers, t)
+            und = reception(g.as_digraph(), towers, t)
             for i in range(1 << m):
                 rec = reception(orient(g, bits_from_index(i, m)), towers, t)
                 assert all(a <= b for a, b in zip(rec, und))
@@ -364,8 +379,8 @@ def test_directed_reception_bounded_by_undirected_exhaustive():
 def test_transpose_swaps_distances(d):
     dt = transpose(d)
     horizon = d.n + 1
-    fwd = bounded_distances(d, horizon)
-    bwd = bounded_distances(dt, horizon)
+    fwd = cover_distances(d, horizon)
+    bwd = cover_distances(dt, horizon)
     for u in range(d.n):
         for v, dist in fwd[u].items():
             assert bwd[v][u] == dist
@@ -374,10 +389,10 @@ def test_transpose_swaps_distances(d):
 @given(small_digraphs, st.data(), st.integers(min_value=1, max_value=4))
 def test_truncation_matches_full_distances(d, data, t):
     towers = data.draw(st.sets(st.integers(min_value=0, max_value=d.n - 1)))
-    full = bounded_distances(d, d.n + t)  # horizon beyond any path length
     expected = [0] * d.n
     for v in towers:
-        for w, dist in full[v].items():
+        # horizon beyond any path length
+        for w, dist in reference_bfs(d.out_adjacency, v, d.n + t).items():
             if dist < t:
                 expected[w] += t - dist
     assert reception(d, towers, t) == expected

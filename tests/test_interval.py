@@ -4,7 +4,6 @@ import pytest
 
 import bdom.interval
 from bdom import (
-    DominationInterval,
     InfeasibleParams,
     Params,
     TooManyEdges,
@@ -13,12 +12,10 @@ from bdom import (
     domination_interval,
     flip_walk,
     gamma,
-    is_full,
     jump_search,
     max_step,
     orient,
     orient_index,
-    witness_orientation,
 )
 from bdom.families import grid, path, star, star_interval
 from bdom.interval import orbit_minima
@@ -95,15 +92,6 @@ def test_attained_set_is_transpose_closed():
     assert direct == transposed
 
 
-def test_is_full_on_synthetic_intervals():
-    assert is_full(
-        DominationInterval(d=1, D=4, attained=frozenset({1, 2, 3, 4}), full=True)
-    )
-    assert not is_full(
-        DominationInterval(d=1, D=3, attained=frozenset({1, 3}), full=False)
-    )
-
-
 def test_flip_walk_star9_source_to_sink():
     trace = flip_walk(star(9), [0] * 8, [1] * 8, Params(2, 1))
     assert trace.gamma_sequence[0] == 1
@@ -139,12 +127,14 @@ def test_flip_walk_endpoints_match_independent_solves():
 def test_witness_orientation_found_and_absent():
     g = star(5)
     p = Params(2, 1)
-    bits = witness_orientation(g, p, 3)
+    witnesses = domination_interval(g, p, keep_witnesses=True).witnesses
+    bits = witnesses.get(3)
     assert bits is not None
     assert gamma(orient(g, bits), p).gamma == 3
-    assert witness_orientation(g, p, 5) is None
+    assert witnesses.get(5) is None
     p2 = build_graph(2, [(0, 1)])
-    assert witness_orientation(p2, Params(2, 1), 1) == (0,)
+    iv = domination_interval(p2, Params(2, 1), keep_witnesses=True)
+    assert iv.witnesses.get(1) == (0,)
 
 
 def test_jump_search_empty_where_theorems_forbid():

@@ -24,6 +24,7 @@ from .interval import domination_interval
 from .lattice import builtin_patterns, check, embedded_grid_claim
 from .solver import gamma_undirected
 
+STAR_MAX_N = 6
 STAR_PARAMS = ((1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (3, 1), (3, 2), (4, 2))
 GRID_FORMULA_CASES = (
     (3, 3, 2, 2),
@@ -39,12 +40,15 @@ GRID_FORMULA_CASES = (
 )
 PROP34_CASES = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
 PROP44_CASES = ((1, 3), (2, 3), (3, 3))
+# smallest torus of each built-in pattern: this many periods a side, or
+# more where one period is under 3 cells
+TORUS_REPS = 2
 
 
-def audit_star(max_n: int = 6) -> dict:
+def audit_star() -> dict:
     """Star interval closed forms versus exhaustive enumeration."""
     claims = []
-    for n in range(3, max_n + 1):
+    for n in range(3, STAR_MAX_N + 1):
         for t, r in STAR_PARAMS:
             p = Params(t, r)
             expected = star_interval(n, p)
@@ -72,10 +76,10 @@ def audit_star(max_n: int = 6) -> dict:
     return {"target": "star", "claims": claims}
 
 
-def audit_grid_formulas(cases=GRID_FORMULA_CASES) -> dict:
+def audit_grid_formulas() -> dict:
     """Published narrow-grid gamma formulas versus the exact solver."""
     claims = []
-    for m, n, t, r in cases:
+    for m, n, t, r in GRID_FORMULA_CASES:
         p = Params(t, r)
         expected = grid_formula_gamma(m, n, p)
         actual = gamma_undirected(grid(m, n), p).gamma
@@ -90,7 +94,7 @@ def audit_grid_formulas(cases=GRID_FORMULA_CASES) -> dict:
     return {"target": "grid", "claims": claims}
 
 
-def audit_prop34(cases=PROP34_CASES) -> dict:
+def audit_prop34() -> dict:
     """Claimed (2,2) interval upper endpoints for 2- and 3-row grids.
 
     Membership is decided by full orientation enumeration.  The
@@ -100,7 +104,7 @@ def audit_prop34(cases=PROP34_CASES) -> dict:
     """
     p = Params(2, 2)
     claims = []
-    for m, n in cases:
+    for m, n in PROP34_CASES:
         value = grid_interval_upper(m, n)
         iv = domination_interval(grid(m, n), p)
         _, count = max_indegree_le1_orientation(m, n)
@@ -123,10 +127,10 @@ def audit_prop34(cases=PROP34_CASES) -> dict:
     return {"target": "prop34", "claims": claims}
 
 
-def audit_prop44(cases=PROP44_CASES) -> dict:
+def audit_prop44() -> dict:
     """Claimed (2,2) interval containments from the 2/3-density embedding."""
     claims = []
-    for m, n in cases:
+    for m, n in PROP44_CASES:
         a = embedded_grid_claim(m, n)
         record = asdict(a)
         if a.enumerated:
@@ -150,7 +154,7 @@ def audit_prop44(cases=PROP44_CASES) -> dict:
     return {"target": "prop44", "claims": claims}
 
 
-def audit_torus(reps: int = 2) -> dict:
+def audit_torus() -> dict:
     """Built-in lattice patterns: density and certification verdicts."""
     claims = []
     expectations = {
@@ -159,7 +163,7 @@ def audit_torus(reps: int = 2) -> dict:
         "dense23": ("2/3", False),
     }
     for name, pat in builtin_patterns().items():
-        mult = max(reps, -(-3 // pat.pa))  # smallest rep with a valid torus
+        mult = max(TORUS_REPS, -(-3 // pat.pa))
         a, b = mult * pat.pa, mult * pat.pb
         rep = check(pat, Params(2, 2), a, b)
         want_density, want_strict = expectations[name]

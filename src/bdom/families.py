@@ -23,7 +23,15 @@ from .errors import (
     OutOfRange,
     TooManyEdges,
 )
-from .graphs import Digraph, Graph, Params, build_graph, orient, orient_index
+from .graphs import (
+    MAX_ENUM_EDGES,
+    Digraph,
+    Graph,
+    Params,
+    build_graph,
+    orient,
+    orient_index,
+)
 from .interval import DominationInterval
 
 
@@ -164,20 +172,7 @@ def orient_source_towers(
     reported back as flagged indices since both endpoints wanted to be
     sources.
     """
-    bits = []
-    flagged = []
-    for k, (u, v) in enumerate(g.edges):
-        tu, tv = u in towers, v in towers
-        if tu and tv:
-            bits.append(0)
-            flagged.append(k)
-        elif tu:
-            bits.append(0)
-        elif tv:
-            bits.append(1)
-        else:
-            bits.append(0)
-    return orient(g, bits), tuple(flagged)
+    return _orient_away(g, (towers,))
 
 
 def orient_outward(
@@ -193,45 +188,31 @@ def orient_outward(
     outward direction (two towers, or two distance-1 vertices) is
     resolved low id -> high id and flagged.
     """
-    dist = _undirected_distance_from(g, towers)
+    # read only for edges between non-towers, where membership means
+    # distance exactly 1 from the towers
+    near = {w for v in towers for w in g.adjacency[v]}
+    return _orient_away(g, (towers, near))
+
+
+def _orient_away(
+    g: Graph, layers: tuple[frozenset[int] | set[int], ...]
+) -> tuple[Digraph, tuple[int, ...]]:
+    """Each edge leaves the first layer that holds one of its endpoints;
+    if that layer holds both, it runs low id -> high id and is flagged.
+    Edges touching no layer run low id -> high id."""
     bits = []
     flagged = []
     for k, (u, v) in enumerate(g.edges):
-        tu, tv = u in towers, v in towers
-        if tu and tv:
-            bits.append(0)
-            flagged.append(k)
-        elif tu:
-            bits.append(0)
-        elif tv:
-            bits.append(1)
-        elif dist.get(u) == 1 and dist.get(v) == 1:
-            bits.append(0)
-            flagged.append(k)
-        elif dist.get(u) == 1:
-            bits.append(0)
-        elif dist.get(v) == 1:
-            bits.append(1)
-        else:
-            bits.append(0)
+        bit = 0
+        for layer in layers:
+            in_u, in_v = u in layer, v in layer
+            if in_u or in_v:
+                if in_u and in_v:
+                    flagged.append(k)
+                bit = 0 if in_u else 1
+                break
+        bits.append(bit)
     return orient(g, bits), tuple(flagged)
-
-
-def _undirected_distance_from(
-    g: Graph, sources: frozenset[int] | set[int]
-) -> dict[int, int]:
-    """Multi-source undirected BFS distances."""
-    dist = {v: 0 for v in sources}
-    frontier = sorted(sources)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 def max_indegree_le1_orientation(m: int, n: int) -> tuple[Digraph, int]:
@@ -243,9 +224,10 @@ def max_indegree_le1_orientation(m: int, n: int) -> tuple[Digraph, int]:
     g = grid(m, n)
     edges = g.edges
     num_edges = len(edges)
-    if num_edges > 24:
+    if num_edges > MAX_ENUM_EDGES:
         raise TooManyEdges(
-            f"{m}x{n} grid has {num_edges} edges; exact search is guarded at 24"
+            f"{m}x{n} grid has {num_edges} edges;"
+            f" exact search is guarded at {MAX_ENUM_EDGES}"
         )
     best_count = -1
     best_mask = 0

@@ -20,8 +20,11 @@ table per (digraph, t), built once by breadth-first search truncated at
 depth t - 1: cover_out[v] lists (w, t - d(v, w)) for every w the tower v
 reaches and cover_in[w] the towers reaching w, ascending.  Unreachable
 pairs are absent rather than set to a sentinel.  Reception, the solver
-and the lattice checks all read this one table; it is also the only
-source of in-neighbours and distances.
+and the lattice checks all read this one table; it is the package's only
+source of in-neighbours and distances.  The one exception is the BFS in
+interval._sample_orientation, which needs the depths from one random
+root: reading them from the cover table would build every source's row
+to use one.
 
 Params holds (t, r) and is the one place where 1 <= r <= t is checked.
 """
@@ -40,6 +43,7 @@ from .errors import (
     LengthMismatch,
     LoopEdge,
     ParseError,
+    TooLarge,
     TooManyEdges,
 )
 
@@ -302,6 +306,11 @@ def orient_index(graph: Graph, index: int) -> Digraph:
     return Digraph._trusted(graph.n, tuple(out_adj))
 
 
+# the most edges an orientation search enumerates: 2^24 indices, and
+# orientation_image keeps one lookup table per byte of an index
+MAX_ENUM_EDGES = 24
+
+
 def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int]:
     """The automorphism sigma of graph acting on orientation indices.
 
@@ -313,8 +322,10 @@ def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int
     edge set onto itself, and TooManyEdges above 24 edges (three bytes).
     """
     num_edges = len(graph.edges)
-    if num_edges > 24:
-        raise TooManyEdges(f"orientation indices of {num_edges} edges exceed 24 bits")
+    if num_edges > MAX_ENUM_EDGES:
+        raise TooManyEdges(
+            f"orientation indices of {num_edges} edges exceed {MAX_ENUM_EDGES} bits"
+        )
     position = {e: k for k, e in enumerate(graph.edges)}
     flip = 0
     moved = []
@@ -327,7 +338,7 @@ def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int
         if a > b:
             flip |= 1 << k
     tables = []
-    for lo in range(0, 24, 8):
+    for lo in range(0, MAX_ENUM_EDGES, 8):
         bits = moved[lo : lo + 8]
         table = [0]
         for bit in bits:
@@ -493,7 +504,12 @@ def is_dominating(d: Digraph, towers: Iterable[int], p: Params) -> bool:
 #
 # .ug (undirected): first line "n m", then m lines "u v"; canonical edge
 # order is line order.  .dg (directed): same framing, lines are arcs
-# u -> v.  Lines starting with '#' are comments; blank lines ignored.
+# u -> v.  Lines starting with '#' are comments and blank lines are
+# ignored, in .pat files too (lattice.parse_pat reads _payload_lines).
+# A header may declare at most MAX_PARSED_VERTICES vertices, checked
+# before any per-vertex list is allocated.
+
+MAX_PARSED_VERTICES = 10_000
 
 
 def _payload_lines(text: str) -> list[str]:
@@ -518,6 +534,10 @@ def _parse_header(lines: list[str], kind: str) -> tuple[int, int]:
         raise ParseError(f"{kind} header must be integers: {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise ParseError(f"{kind} header values must be nonnegative: {lines[0]!r}")
+    if n > MAX_PARSED_VERTICES:
+        raise TooLarge(
+            f"{kind} declares {n} vertices; parsing is guarded at {MAX_PARSED_VERTICES}"
+        )
     if len(lines) - 1 != m:
         raise ParseError(
             f"{kind} declares {m} lines but has {len(lines) - 1}"

@@ -28,6 +28,7 @@ from typing import Sequence
 
 from .errors import OutOfRange, TooManyEdges
 from .graphs import (
+    MAX_ENUM_EDGES,
     Bits,
     Graph,
     Params,
@@ -40,8 +41,6 @@ from .graphs import (
     orientation_image,
 )
 from .solver import gamma
-
-_MAX_ENUM_EDGES = 24
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,10 @@ def domination_interval(
     the orbit minima; fewer than 4 minima per worker run serially.
     """
     num_edges = len(g.edges)
-    if num_edges > _MAX_ENUM_EDGES:
+    if num_edges > MAX_ENUM_EDGES:
         raise TooManyEdges(
             f"2^{num_edges} orientations exceed the enumeration guard"
-            f" (|E| <= {_MAX_ENUM_EDGES})"
+            f" (|E| <= {MAX_ENUM_EDGES})"
         )
     minima = orbit_minima(g)
     jobs = min(jobs, os.cpu_count() or 1)

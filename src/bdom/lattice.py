@@ -28,12 +28,15 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .graphs import Digraph, Params, reception
+from .graphs import Digraph, Params, _payload_lines, reception
 from .interval import domination_interval
 from .solver import gamma, gamma_undirected
 
 CLAUSE_SELF_CONSISTENT = "self-consistent"
 CLAUSE_LITERAL = "literal"
+
+# embedded_grid_claim enumerates every orientation up to this many edges
+EMBED_MAX_ENUM_EDGES = 12
 
 
 @dataclass(frozen=True)
@@ -133,38 +136,33 @@ def check(
     nontower_exact = all(
         rec[v] == p.r for v in range(d.n) if v not in towers
     )
-    # {u: d(v, u)} restricted to d < t, for the towers v: the loop below
-    # reads no other source
+    # per cell: how many towers reach it with signal c > r (distance
+    # below t - r), and that signal when there is exactly one
+    close = [0] * d.n
+    signal = [0] * d.n
     cover_out = d.cover(p.t)[0]
-    dist: list[dict[int, int]] = [{}] * d.n
     for v in towers:
-        dist[v] = {w: p.t - c for w, c in cover_out[v]}
-    strict = True
-    strict_violations = []
+        for w, c in cover_out[v]:
+            if c > p.r:
+                close[w] += 1
+                signal[w] = c
+    # second clause: t - d(v, u) = c, or verbatim r - d(v, u) = c - t + r
+    shift = 0 if clause == CLAUSE_SELF_CONSISTENT else p.r - p.t
+    violations = []
     for u in range(d.n):
-        close = [
-            (v, dist[v][u])
-            for v in sorted(towers)
-            if dist[v].get(u, p.t) < p.t - p.r
-        ]
-        if not close:
+        if close[u] == 0:
             ok = rec[u] == p.r
-        elif len(close) == 1:
-            v, du = close[0]
-            expected = (p.t - du) if clause == CLAUSE_SELF_CONSISTENT else (p.r - du)
-            ok = rec[u] == expected
         else:
-            ok = False
+            ok = close[u] == 1 and rec[u] == signal[u] + shift
         if not ok:
-            strict = False
-            strict_violations.append(((u // b, u % b), rec[u]))
+            violations.append(((u // b, u % b), rec[u]))
     return EfficiencyReport(
         dominating=dominating,
         density=density(pat),
-        strict_efficient=strict,
+        strict_efficient=not violations,
         nontower_exact=nontower_exact,
         clause_interpretation=clause,
-        violations=tuple(strict_violations),
+        violations=tuple(violations),
         torus=(a, b),
     )
 
@@ -231,11 +229,7 @@ def builtin_patterns() -> dict[str, TorusPattern]:
 
 
 def parse_pat(text: str, name: str = "") -> TorusPattern:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = _payload_lines(text)
     if not lines:
         raise ParseError("empty .pat input")
     head = lines[0].split()
@@ -311,15 +305,13 @@ class GridEmbedAudit:
     notes: tuple[str, ...]
 
 
-def embedded_grid_claim(
-    m: int, n: int, max_enum_edges: int = 12
-) -> GridEmbedAudit:
+def embedded_grid_claim(m: int, n: int) -> GridEmbedAudit:
     """Evaluate the claimed containment interval and audit its endpoints.
 
     Claimed interval by n mod 3: [floor(mn/3), floor(2mn/3)] at 0,
     [floor(mn/3), floor(2m(n-1)/3)] at 1, [floor(mn/3),
     floor((4mn+5m)/6)] at 2.  Membership is decided exactly by full
-    orientation enumeration when |E| <= max_enum_edges; otherwise the
+    orientation enumeration when |E| <= EMBED_MAX_ENUM_EDGES; otherwise the
     lower endpoint is probed with the source-tower construction and the
     upper endpoint is left undecided.
     """
@@ -345,7 +337,7 @@ def embedded_grid_claim(
             f"claimed lower endpoint {claimed_low} is below the undirected"
             f" gamma {base.gamma}; no orientation can attain it"
         )
-    if len(g.edges) <= max_enum_edges:
+    if len(g.edges) <= EMBED_MAX_ENUM_EDGES:
         iv = domination_interval(g, p)
         low_attained = claimed_low in iv.attained
         high_attained = claimed_high in iv.attained

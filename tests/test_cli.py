@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import bdom.cli
 import bdom.interval
 from bdom.cli import main
-from bdom.errors import GraphConstructionError, ParseError
+from bdom.errors import GraphConstructionError, ParseError, TooLarge
 from bdom.families import grid, star, star_orientation
-from bdom.graphs import format_dg, format_ug, parse_dg, parse_ug
+from bdom.graphs import MAX_PARSED_VERTICES, format_dg, format_ug, parse_dg, parse_ug
 from bdom.lattice import builtin_patterns, format_pat, parse_pat
 
 
@@ -235,6 +235,18 @@ def test_exit_code_guard_jumps_budget(capsys):
     assert err.startswith("error: vertex budget") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["gamma", "oracle", "interval"])
+def test_exit_code_guard_oversized_header(command, tmp_path, capsys):
+    src = tmp_path / "huge.ug"
+    src.write_text("2000000 0\n", encoding="utf-8")
+    assert main([command, str(src), "--t", "1", "--r", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "error: .ug declares 2000000 vertices;"
+        f" parsing is guarded at {MAX_PARSED_VERTICES}\n"
+    )
+
+
 def test_exit_code_internal_error(monkeypatch, capsys, s5_file):
     def broken(g, p):
         raise RuntimeError("boom")
@@ -279,10 +291,11 @@ def test_exit_code_internal_value_error(monkeypatch, capsys, s5_file):
     assert capsys.readouterr().err.startswith("internal error: ValueError: internal (")
 
 
-# arbitrary text, and framed text: a header of small integers (a header
-# "n m" with a huge n is valid input that allocates n vertices) that
-# often matches the body's line count, over rows of pair- and .pat-like
-# tokens
+_huge = st.integers(MAX_PARSED_VERTICES + 1, 10**12)
+
+# arbitrary text, and framed text: a header of small integers, or of
+# counts above the parse guard, that often matches the body's line
+# count, over rows of pair- and .pat-like tokens
 _cell = st.one_of(
     st.integers(-1, 6).map(str),
     st.sampled_from(["T", ".", "0", "1", "x", "1_0", "#", ""]),
@@ -293,8 +306,8 @@ _row = st.lists(_cell, min_size=1, max_size=3)
 @st.composite
 def _framed(draw):
     body = draw(st.lists(st.one_of(_row.map(" ".join), _row.map("".join)), max_size=9))
-    first = draw(st.sampled_from([len(body) // 3, draw(st.integers(-1, 6))]))
-    second = draw(st.sampled_from([len(body), draw(st.integers(-1, 3))]))
+    first = draw(st.sampled_from([len(body) // 3, draw(st.integers(-1, 6)), draw(_huge)]))
+    second = draw(st.sampled_from([len(body), draw(st.integers(-1, 3)), draw(_huge)]))
     return "\n".join([f"{first} {second}"] + body)
 
 
@@ -309,6 +322,9 @@ def test_parsers_raise_only_input_errors(text):
             parse(text)
         except (ParseError, GraphConstructionError):
             pass
+        except TooLarge as exc:
+            # the vertex-count guard, the one non-input error a parser raises
+            assert parse is not parse_pat and "parsing is guarded" in str(exc)
 
 
 _PARAM_COMMANDS = {
@@ -330,14 +346,15 @@ def test_params_exit_codes_on_every_subcommand(command, capsys, s5_file):
 
 
 # CLI-level fuzz: small .ug/.dg/.pat files, header-shaped or free text.
-# Numbers stay at most 8 and files at most 10 lines: a valid header with
-# a large vertex count is accepted input that allocates that many vertices.
-_num = st.integers(-1, 8).map(str)
+# Files have at most 10 lines.  Numbers are at most 8 or above the parse
+# guard, which rejects such a vertex count with exit 4: a count in
+# between is valid input that gamma takes seconds to solve.
+_num = st.one_of(st.integers(-1, 8), _huge).map(str)
 
 
 @st.composite
 def _graph_text(draw):
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 8)) if draw(st.integers(0, 3)) else draw(_huge)
     if n > 1 and draw(st.integers(0, 3)):  # mostly in range and loop-free
         end = st.integers(0, n - 1)
         pair = st.tuples(end, end).filter(lambda e: e[0] != e[1]).map(
@@ -346,7 +363,8 @@ def _graph_text(draw):
     else:
         pair = st.tuples(_num, _num).map(" ".join)
     body = draw(st.lists(pair, max_size=9))
-    m = draw(st.sampled_from([len(body)] * 3 + [draw(st.integers(0, 9))]))
+    wrong = draw(st.one_of(st.integers(0, 9), _huge))
+    m = draw(st.sampled_from([len(body)] * 3 + [wrong]))
     return "\n".join([f"{n} {m}"] + body) + "\n"
 
 
@@ -363,7 +381,7 @@ def _pat_text(draw):
 
 def _small_text(text):
     return text.count("\n") < 10 and all(
-        int(x) <= 8 for x in re.findall(r"\d+", text)
+        not 8 < int(x) <= MAX_PARSED_VERTICES for x in re.findall(r"\d+", text)
     )
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -26,6 +27,8 @@ from bdom.families import (
     zigzag,
     zigzag_ratio,
 )
+from bdom.graphs import orient
+from conftest import connected_labeled_graphs
 
 
 # ---- generators --------------------------------------------------------------
@@ -191,6 +194,58 @@ def test_orient_outward_all_towers_flags_everything():
     d, flagged = orient_outward(g, {0, 1, 2, 3})
     assert flagged == (0, 1, 2)
     assert d.arcs == ((0, 1), (1, 2), (2, 3))
+
+
+def reference_orient_outward(g, towers, outward=True):
+    """orient_outward as it was written over a multi-source undirected
+    BFS from the towers, reading distance 1 off the BFS distances; with
+    outward=False no distances are read, which was orient_source_towers."""
+    dist = {v: 0 for v in towers}
+    frontier = sorted(towers) if outward else []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    bits = []
+    flagged = []
+    for k, (u, v) in enumerate(g.edges):
+        tu, tv = u in towers, v in towers
+        if tu and tv:
+            bits.append(0)
+            flagged.append(k)
+        elif tu:
+            bits.append(0)
+        elif tv:
+            bits.append(1)
+        elif dist.get(u) == 1 and dist.get(v) == 1:
+            bits.append(0)
+            flagged.append(k)
+        elif dist.get(u) == 1:
+            bits.append(0)
+        elif dist.get(v) == 1:
+            bits.append(1)
+        else:
+            bits.append(0)
+    return orient(g, bits), tuple(flagged)
+
+
+def test_orientations_match_bfs_reference():
+    rng = random.Random(4242)
+    for g in connected_labeled_graphs(5):
+        for density in (0.2, 0.4, 0.7):
+            towers = {v for v in range(g.n) if rng.random() < density}
+            d, flagged = orient_outward(g, towers)
+            want, want_flagged = reference_orient_outward(g, towers)
+            assert d.out_adjacency == want.out_adjacency, (g.edges, towers)
+            assert flagged == want_flagged, (g.edges, towers)
+            d, flagged = orient_source_towers(g, towers)
+            want, want_flagged = reference_orient_outward(g, towers, outward=False)
+            assert d.out_adjacency == want.out_adjacency, (g.edges, towers)
+            assert flagged == want_flagged, (g.edges, towers)
 
 
 def test_orient_outward_preserves_31_gamma():

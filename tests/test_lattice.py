@@ -130,27 +130,41 @@ def reference_violations(pat, p, a, b, clause):
     return tuple(out)
 
 
+def random_pattern(rng, pa, pb):
+    def cells(pick):
+        return tuple(tuple(pick() for _ in range(pb)) for _ in range(pa))
+
+    return TorusPattern(
+        towers=cells(lambda: rng.random() < 0.4),
+        east_bits=cells(lambda: rng.randint(0, 1)),
+        north_bits=cells(lambda: rng.randint(0, 1)),
+    )
+
+
+def assert_check_matches_reference(rng, pat, a, b):
+    t = rng.randint(1, 5)
+    p = Params(t, rng.randint(1, t))
+    for clause in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
+        report = check(pat, p, a, b, clause=clause)
+        expected = reference_violations(pat, p, a, b, clause)
+        assert report.violations == expected
+        assert report.strict_efficient == (not expected)
+
+
 def test_check_matches_reference_on_random_patterns():
     rng = random.Random(1729)
     for _ in range(60):
         pa, pb = rng.randint(1, 3), rng.randint(1, 3)
-
-        def cells(pick):
-            return tuple(tuple(pick() for _ in range(pb)) for _ in range(pa))
-
-        pat = TorusPattern(
-            towers=cells(lambda: rng.random() < 0.4),
-            east_bits=cells(lambda: rng.randint(0, 1)),
-            north_bits=cells(lambda: rng.randint(0, 1)),
-        )
+        pat = random_pattern(rng, pa, pb)
         a, b = pa * (-(-3 // pa) + rng.randint(0, 1)), pb * -(-3 // pb)
-        t = rng.randint(1, 5)
-        p = Params(t, rng.randint(1, t))
-        for clause in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
-            report = check(pat, p, a, b, clause=clause)
-            expected = reference_violations(pat, p, a, b, clause)
-            assert report.violations == expected
-            assert report.strict_efficient == (not expected)
+        assert_check_matches_reference(rng, pat, a, b)
+    # larger tori, sides up to 12
+    for _ in range(20):
+        pa, pb = rng.randint(1, 4), rng.randint(1, 4)
+        pat = random_pattern(rng, pa, pb)
+        a = pa * rng.randint(-(-3 // pa), 12 // pa)
+        b = pb * rng.randint(-(-3 // pb), 12 // pb)
+        assert_check_matches_reference(rng, pat, a, b)
 
 
 def test_scale_invariance_of_verdicts():
@@ -224,7 +238,7 @@ def test_embedded_grid_claim_1x3_runs():
 
 
 def test_embedded_grid_claim_without_enumeration():
-    a = embedded_grid_claim(3, 6, max_enum_edges=12)  # 27 edges
+    a = embedded_grid_claim(3, 6)  # 27 edges, over EMBED_MAX_ENUM_EDGES
     assert not a.enumerated
     assert a.high_attained is None
     assert a.low_attained is False  # claimed 6 < undirected gamma 8

@@ -18,10 +18,9 @@ at directed distance d(v, w) < t, including strength t to itself.  The
 reception at w is the sum over towers.  Distances are held as a cover
 table per (digraph, t), built once by breadth-first search truncated at
 depth t - 1: cover_out[v] lists (w, t - d(v, w)) for every w the tower v
-reaches and cover_in[w] the towers reaching w, ascending.  Unreachable
-pairs are absent rather than set to a sentinel.  Reception, the solver
-and the lattice checks all read this one table; it is the package's only
-source of in-neighbours and distances.  The one exception is the BFS in
+reaches.  Unreachable pairs are absent rather than set to a sentinel.
+Reception, the solver and the lattice checks all read this one table; it
+is the package's only source of in-neighbours and distances.  The one exception is the BFS in
 interval._sample_orientation, which needs the depths from one random
 root: reading them from the cover table would build every source's row
 to use one.
@@ -116,9 +115,7 @@ class Graph:
         return self._digraph
 
 
-CoverTables = tuple[
-    tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...]
-]
+CoverOut = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Digraph:
@@ -142,7 +139,7 @@ class Digraph:
         self.out_adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in out_adj
         )
-        self._cover_cache: dict[int, CoverTables] = {}
+        self._cover_cache: dict[int, CoverOut] = {}
 
     @classmethod
     def _trusted(
@@ -174,31 +171,28 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={sum(map(len, self.out_adjacency))})"
 
-    def cover(self, t: int) -> CoverTables:
-        """(cover_out, cover_in) at transmission strength t, cached.
+    def cover(self, t: int) -> CoverOut:
+        """cover_out at transmission strength t, cached.
 
         cover_out[v] lists (w, t - d(v, w)) for every w with d(v, w) < t,
-        in breadth-first order starting with (v, t); cover_in[w] lists
-        the towers v reaching w, ascending.  One truncated breadth-first
-        search per source builds both.
+        in breadth-first order starting with (v, t), from one truncated
+        breadth-first search per source.
         """
-        tables = self._cover_cache.get(t)
-        if tables is None:
-            tables = self._cover_cache[t] = _build_cover(self.out_adjacency, t)
-        return tables
+        cover_out = self._cover_cache.get(t)
+        if cover_out is None:
+            cover_out = self._cover_cache[t] = _build_cover(
+                self.out_adjacency, t
+            )
+        return cover_out
 
 
-def _build_cover(
-    adjacency: tuple[tuple[int, ...], ...], t: int
-) -> CoverTables:
+def _build_cover(adjacency: tuple[tuple[int, ...], ...], t: int) -> CoverOut:
     n = len(adjacency)
     cover_out: list[tuple[tuple[int, int], ...]] = []
-    cover_in: list = [[] for _ in range(n)]
     # mark[w] == v: w already reached from source v
     mark = [-1] * n
     for v in range(n):
         pairs = [(v, t)]
-        cover_in[v].append(v)
         mark[v] = v
         frontier = [v]
         c = t - 1
@@ -210,14 +204,10 @@ def _build_cover(
                         mark[w] = v
                         reached.append(w)
                         pairs.append((w, c))
-                        cover_in[w].append(v)
             frontier = reached
             c -= 1
         cover_out.append(tuple(pairs))
-    # each list gives way to its tuple in turn, so the two sets never coexist
-    for w in range(n):
-        cover_in[w] = tuple(cover_in[w])
-    return tuple(cover_out), tuple(cover_in)
+    return tuple(cover_out)
 
 
 def build_graph(n: int, edge_list: Iterable[Iterable[int]]) -> Graph:
@@ -486,7 +476,7 @@ def _check_towers(n: int, towers: Iterable[int]) -> frozenset[int]:
 def reception(d: Digraph, towers: Iterable[int], t: int) -> list[int]:
     """Directed reception at every vertex: sum of t - d(v, w) over towers v."""
     ts = _check_towers(d.n, towers)
-    cover_out = d.cover(t)[0]
+    cover_out = d.cover(t)
     rec = [0] * d.n
     for v in ts:
         for w, c in cover_out[v]:

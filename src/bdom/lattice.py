@@ -140,7 +140,7 @@ def check(
     # below t - r), and that signal when there is exactly one
     close = [0] * d.n
     signal = [0] * d.n
-    cover_out = d.cover(p.t)[0]
+    cover_out = d.cover(p.t)
     for v in towers:
         for w, c in cover_out[v]:
             if c > p.r:

@@ -5,20 +5,32 @@ gamma() runs a depth-first branch and bound over tower sets:
 * state is the per-vertex deficit (r minus current reception, floored
   at zero) plus the set of towers placed so far;
 * the branch vertex is the deficient vertex with the fewest remaining
-  candidate dominators (its in-neighborhood within distance t, minus
-  towers already placed and candidates banned on this branch), ties to
-  the lowest id;
+  candidate dominators, ties to the lowest id.  Its candidates are the
+  set bits of in_mask[w] & ~blocked: in_mask[w] holds the towers whose
+  signal reaches w, built from cover_out once per call, and blocked the
+  towers placed or banned on this branch.  A deficient vertex with no
+  candidate left ends the branch;
 * candidates are tried in ascending vertex id, and each candidate is
   banned for the later siblings, so the branches partition the
   solution space;
-* a branch is cut when its size plus ceil(total deficit / best
-  deficit-clamped single-tower contribution) reaches the incumbent,
-  which is seeded by the greedy set of _greedy().
+* a branch is cut when its size plus a lower bound k on the towers
+  still needed reaches the incumbent, which is seeded by the greedy set
+  of _greedy().  The cheap first k is ceil(total deficit / static_max),
+  static_max the largest single-tower contribution on an empty
+  reception.  When that does not cut, each unblocked tower's
+  deficit-clamped gain is computed, and k is the fewest of the largest
+  gains that sum to at least total (a cut too when all of them fall
+  short).  The deficit a set of towers clears is at most the sum of
+  their separately clamped gains, so the bound is valid, and it is
+  never weaker than ceil(total / best gain).  A valid bound never cuts
+  the subtree holding the first optimum in DFS order while the
+  incumbent is worse, so the witness does not depend on the bound's
+  strength.
 
 Each call builds the digraph's cover table for t once (Digraph.cover,
 cached on the digraph) and both the greedy seed and the search read it.
 The deficit-clamped contribution of a tower is computed in two places
-only: _best_tower (greedy rounds and the bound) and _place (placing a
+only: _gains (greedy rounds and the bound) and _place (placing a
 tower).
 
 Params keeps r <= t, the model's domain: in it every vertex gives
@@ -37,7 +49,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import TooLarge
-from .graphs import CoverTables, Digraph, Graph, Params, is_dominating
+from .graphs import CoverOut, Digraph, Graph, Params, is_dominating
 
 _BRUTEFORCE_MAX_VERTICES = 25
 
@@ -51,8 +63,8 @@ class GammaResult:
     nodes_explored: int
 
 
-def _cover_tables(d: Digraph, t: int) -> CoverTables:
-    """(cover_out, cover_in) of d at strength t, as Digraph.cover.
+def _cover_tables(d: Digraph, t: int) -> CoverOut:
+    """cover_out of d at strength t, as Digraph.cover.
 
     The solver's one read of the tables, a function of its own so that
     bench/tracing.py can time the table build under this name.
@@ -63,25 +75,21 @@ def _cover_tables(d: Digraph, t: int) -> CoverTables:
 Pairs = Sequence[tuple[int, int]]
 
 
-def _best_tower(
+def _gains(
     cover_out: Sequence[Pairs], rec: list[int], r: int, blocked: int
-) -> tuple[int, int]:
-    """The tower outside the mask blocked that clears the most remaining
-    deficit, ties to the lowest id, and that amount; (-1, 0) when none
-    clears any."""
-    best_v = -1
-    best = 0
-    for v in range(len(cover_out)):
-        if blocked >> v & 1:
-            continue
+) -> list[int]:
+    """The remaining deficit each tower would clear on its own, by
+    vertex id; 0 for the towers in the mask blocked."""
+    gains = []
+    for v, pairs in enumerate(cover_out):
         gain = 0
-        for w, c in cover_out[v]:
-            dw = r - rec[w]
-            if dw > 0:
-                gain += c if c < dw else dw
-        if gain > best:
-            best_v, best = v, gain
-    return best_v, best
+        if not blocked >> v & 1:
+            for w, c in pairs:
+                dw = r - rec[w]
+                if dw > 0:
+                    gain += c if c < dw else dw
+        gains.append(gain)
+    return gains
 
 
 def _place(pairs: Pairs, rec: list[int], r: int) -> int:
@@ -110,7 +118,9 @@ def _greedy(cover_out: Sequence[Pairs], r: int) -> tuple[int, int]:
     chosen = 0
     first_best = 0
     while total > 0:
-        v, gain = _best_tower(cover_out, rec, r, chosen)
+        gains = _gains(cover_out, rec, r, chosen)
+        gain = max(gains)
+        v = gains.index(gain)
         if not chosen:
             first_best = gain
         # some deficient vertex always accepts itself, so progress is sure
@@ -122,7 +132,7 @@ def _greedy(cover_out: Sequence[Pairs], r: int) -> tuple[int, int]:
 def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
     """Dominating set built by repeatedly taking the tower that clears
     the most remaining deficit (ties to the lowest id)."""
-    mask = _greedy(_cover_tables(d, p.t)[0], p.r)[0]
+    mask = _greedy(_cover_tables(d, p.t), p.r)[0]
     return frozenset(v for v in range(d.n) if mask >> v & 1)
 
 
@@ -131,11 +141,17 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
     n = d.n
     if n == 0:
         return GammaResult(0, frozenset(), 0)
-    cover_out, cover_in = _cover_tables(d, p.t)
+    cover_out = _cover_tables(d, p.t)
     r = p.r
     # static_max: constant denominator for the cheap first-pass bound
     best_mask, static_max = _greedy(cover_out, r)
     best_size = best_mask.bit_count()
+    # in_mask[w]: the towers whose signal reaches w
+    in_mask = [0] * n
+    for v, pairs in enumerate(cover_out):
+        bit = 1 << v
+        for w, _ in pairs:
+            in_mask[w] |= bit
     rec = [0] * n
     total = r * n
     nodes = 0
@@ -150,40 +166,43 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
             return
         if size + 1 >= best_size:
             return
-        blocked = chosen | banned
         lb = -(-total // static_max)
-        if size + lb < best_size:
-            # tighter denominator: best deficit-clamped contribution
-            # among towers still placeable on this branch
-            denom = _best_tower(cover_out, rec, r, blocked)[1]
-            if denom == 0:
-                return
-            lb = -(-total // denom)
         if size + lb >= best_size:
             return
-        branch_avail: tuple[int, ...] | None = None
+        blocked = chosen | banned
+        # k-largest-gains bound: size + k >= best_size, for the fewest k
+        # towers whose largest gains sum to total, holds exactly when the
+        # room = best_size - size - 1 largest gains fall short of total,
+        # as all of them do when no k exists
+        gains = _gains(cover_out, rec, r, blocked)
+        gains.sort(reverse=True)
+        if sum(gains[: best_size - size - 1]) < total:
+            return
+        free = ~blocked
+        branch = 0
+        fewest = n + 1
         for w in range(n):
             if rec[w] >= r:
                 continue
-            avail = tuple(
-                v for v in cover_in[w] if not blocked >> v & 1
-            )
+            avail = in_mask[w] & free
             if not avail:
                 return
-            if branch_avail is None or len(avail) < len(branch_avail):
-                branch_avail = avail
-                if len(avail) == 1:
+            count = avail.bit_count()
+            if count < fewest:
+                branch, fewest = avail, count
+                if count == 1:
                     break
-        assert branch_avail is not None
-        for v in branch_avail:
-            pairs = cover_out[v]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            pairs = cover_out[low.bit_length() - 1]
             delta = _place(pairs, rec, r)
             total -= delta
-            dfs(size + 1, chosen | (1 << v), banned)
+            dfs(size + 1, chosen | low, banned)
             for w, c in pairs:
                 rec[w] -= c
             total += delta
-            banned |= 1 << v
+            banned |= low
 
     dfs(0, 0, 0)
     # dfs refers to itself; unbinding it frees the search state now

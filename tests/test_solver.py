@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,7 +65,7 @@ def test_search_size_and_witness_pinned():
     g = grid(4, 4)
     res = gamma_undirected(g, Params(2, 2))
     assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
-        8, [0, 3, 5, 6, 9, 10, 12, 15], 96)
+        8, [0, 3, 5, 6, 9, 10, 12, 15], 72)
     res = gamma(orient(g, bits_from_index(11766603, len(g.edges))), Params(2, 2))
     assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
         10, [0, 1, 2, 5, 6, 7, 9, 12, 13, 15], 10)
@@ -75,7 +77,114 @@ def test_search_size_and_witness_pinned():
     ])
     res = gamma(orient(rg, bits_from_index(37211386, 26)), Params(3, 1))
     assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
-        6, [0, 1, 2, 9, 11, 12], 23)
+        6, [0, 1, 2, 9, 11, 12], 20)
+
+
+def reference_gamma(d, p):
+    """The branch and bound as it was before in-masks and the k-largest
+    gains bound: tuple candidates rebuilt for every deficient vertex at
+    every node, and a cut at ceil(total / best single-tower gain).
+    Returns (gamma, witness, nodes)."""
+    n, r = d.n, p.r
+    cover_out = d.cover(p.t)
+    cover_in = [[] for _ in range(n)]
+    for v in range(n):
+        for w, _ in cover_out[v]:
+            cover_in[w].append(v)
+
+    def best_tower(rec, blocked):
+        best_v, best = -1, 0
+        for v in range(n):
+            if blocked >> v & 1:
+                continue
+            gain = sum(min(c, r - rec[w]) for w, c in cover_out[v] if rec[w] < r)
+            if gain > best:
+                best_v, best = v, gain
+        return best_v, best
+
+    def place(v, rec, sign):
+        cleared = 0
+        for w, c in cover_out[v]:
+            if sign > 0 and rec[w] < r:
+                cleared += min(c, r - rec[w])
+            rec[w] += sign * c
+        return cleared
+
+    rec = [0] * n
+    total = r * n
+    chosen = static_max = 0
+    while total > 0:
+        v, gain = best_tower(rec, chosen)
+        static_max = static_max or gain
+        chosen |= 1 << v
+        total -= place(v, rec, 1)
+    state = {"size": chosen.bit_count(), "mask": chosen, "nodes": 0}
+    rec = [0] * n
+
+    def dfs(size, chosen, banned, total):
+        state["nodes"] += 1
+        if total == 0:
+            if size < state["size"]:
+                state["size"], state["mask"] = size, chosen
+            return
+        if size + 1 >= state["size"]:
+            return
+        blocked = chosen | banned
+        lb = -(-total // static_max)
+        if size + lb < state["size"]:
+            denom = best_tower(rec, blocked)[1]
+            if denom == 0:
+                return
+            lb = -(-total // denom)
+        if size + lb >= state["size"]:
+            return
+        branch = None
+        for w in range(n):
+            if rec[w] >= r:
+                continue
+            avail = tuple(v for v in cover_in[w] if not blocked >> v & 1)
+            if not avail:
+                return
+            if branch is None or len(avail) < len(branch):
+                branch = avail
+                if len(avail) == 1:
+                    break
+        for v in branch:
+            delta = place(v, rec, 1)
+            dfs(size + 1, chosen | (1 << v), banned, total - delta)
+            place(v, rec, -1)
+            banned |= 1 << v
+
+    dfs(0, 0, 0, r * n)
+    witness = frozenset(v for v in range(n) if state["mask"] >> v & 1)
+    return state["size"], witness, state["nodes"]
+
+
+def test_gamma_matches_reference_branch_and_bound():
+    # same gamma and witness as the tuple-branching search, and never
+    # more nodes: the bound is never weaker and the branch order is equal
+    rng = random.Random(7)
+    cases = []
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        arcs = [(u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < density]
+        cases.append(Digraph(n, arcs))
+    for g in (grid(3, 4), grid(4, 4)):
+        m = len(g.edges)
+        cases += [orient(g, bits_from_index(rng.getrandbits(m), m)) for _ in range(4)]
+        cases.append(g.as_digraph())
+    nodes = ref_nodes = 0
+    for d in cases:
+        for p in PARAMS6:
+            res = gamma(d, p)
+            ref_gamma, ref_witness, ref_count = reference_gamma(d, p)
+            assert (res.gamma, res.witness) == (ref_gamma, ref_witness), (d.arcs, p)
+            assert res.nodes_explored <= ref_count, (d.arcs, p)
+            nodes += res.nodes_explored
+            ref_nodes += ref_count
+    assert nodes < ref_nodes
 
 
 def test_bruteforce_single_arc():

@@ -1,9 +1,10 @@
 """Claim-by-claim audits of the published closed forms.
 
-Each audit returns a plain dict with one entry per checked claim and a
-status of "confirmed", "refuted-at-instance", or "unverifiable", so a
-refuted claim is reported, not raised.  The dicts serialize directly to
-JSON and render to Markdown via render_markdown.
+Each audit returns a plain dict with one record per checked claim,
+built by _claim, whose status says whether the instance confirmed the
+claim, refuted it, or could not decide it; a refuted claim is reported,
+not raised.  The dicts serialize directly to JSON and render to
+Markdown via render_markdown.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ PROP44_CASES = ((1, 3), (2, 3), (3, 3))
 TORUS_REPS = 2
 
 
+def _claim(text: str, instance: dict, ok: bool | None, details: dict) -> dict:
+    """One claim record; ok is None when the instance cannot decide it."""
+    if ok is None:
+        status = "unverifiable"
+    else:
+        status = "confirmed" if ok else "refuted-at-instance"
+    return {"claim": text, "instance": instance, "status": status, "details": details}
+
+
 def audit_star() -> dict:
     """Star interval closed forms versus exhaustive enumeration."""
     claims = []
@@ -60,18 +70,18 @@ def audit_star() -> dict:
                 and actual.full
             )
             claims.append(
-                {
-                    "claim": f"star interval S_{n} at ({t},{r})"
+                _claim(
+                    f"star interval S_{n} at ({t},{r})"
                     f" = [{expected.d},{expected.D}], full",
-                    "instance": {"n": n, "t": t, "r": r},
-                    "status": "confirmed" if ok else "refuted-at-instance",
-                    "details": {
+                    {"n": n, "t": t, "r": r},
+                    ok,
+                    {
                         "expected": [expected.d, expected.D],
                         "actual": [actual.d, actual.D],
                         "attained": sorted(actual.attained),
                         "full": actual.full,
                     },
-                }
+                )
             )
     return {"target": "star", "claims": claims}
 
@@ -84,12 +94,12 @@ def audit_grid_formulas() -> dict:
         expected = grid_formula_gamma(m, n, p)
         actual = gamma_undirected(grid(m, n), p).gamma
         claims.append(
-            {
-                "claim": f"gamma of {m}x{n} grid at ({t},{r}) = {expected}",
-                "instance": {"m": m, "n": n, "t": t, "r": r},
-                "status": "confirmed" if actual == expected else "refuted-at-instance",
-                "details": {"formula": expected, "solver": actual},
-            }
+            _claim(
+                f"gamma of {m}x{n} grid at ({t},{r}) = {expected}",
+                {"m": m, "n": n, "t": t, "r": r},
+                actual == expected,
+                {"formula": expected, "solver": actual},
+            )
         )
     return {"target": "grid", "claims": claims}
 
@@ -110,11 +120,11 @@ def audit_prop34() -> dict:
         _, count = max_indegree_le1_orientation(m, n)
         attained = value in iv.attained
         claims.append(
-            {
-                "claim": f"(2,2) interval of {m}x{n} grid attains {value}",
-                "instance": {"m": m, "n": n},
-                "status": "confirmed" if attained else "refuted-at-instance",
-                "details": {
+            _claim(
+                f"(2,2) interval of {m}x{n} grid attains {value}",
+                {"m": m, "n": n},
+                attained,
+                {
                     "claimed_upper": value,
                     "attained": attained,
                     "actual_interval": [iv.d, iv.D],
@@ -122,7 +132,7 @@ def audit_prop34() -> dict:
                     "max_indegree_le1_count": count,
                     "indegree_sum_equals": len(grid(m, n).edges),
                 },
-            }
+            )
         )
     return {"target": "prop34", "claims": claims}
 
@@ -132,24 +142,17 @@ def audit_prop44() -> dict:
     claims = []
     for m, n in PROP44_CASES:
         a = embedded_grid_claim(m, n)
-        record = asdict(a)
+        ok = None
         if a.enumerated:
-            ok = (
-                a.low_obs_consistent
-                and bool(a.low_attained)
-                and bool(a.high_attained)
-            )
-            status = "confirmed" if ok else "refuted-at-instance"
-        else:
-            status = "unverifiable"
+            ok = a.low_obs_consistent and bool(a.low_attained) and bool(a.high_attained)
         claims.append(
-            {
-                "claim": f"(2,2) interval of {m}x{n} grid contains"
+            _claim(
+                f"(2,2) interval of {m}x{n} grid contains"
                 f" [{a.claimed_low},{a.claimed_high}]",
-                "instance": {"m": m, "n": n},
-                "status": status,
-                "details": record,
-            }
+                {"m": m, "n": n},
+                ok,
+                asdict(a),
+            )
         )
     return {"target": "prop44", "claims": claims}
 
@@ -174,19 +177,19 @@ def audit_torus() -> dict:
             and rep.strict_efficient == want_strict
         )
         claims.append(
-            {
-                "claim": f"{name}: density {want_density}, dominating,"
+            _claim(
+                f"{name}: density {want_density}, dominating,"
                 + (" strictly efficient" if want_strict else " non-tower exact"),
-                "instance": {"pattern": name, "torus": [a, b]},
-                "status": "confirmed" if ok else "refuted-at-instance",
-                "details": {
+                {"pattern": name, "torus": [a, b]},
+                ok,
+                {
                     "density": str(rep.density),
                     "dominating": rep.dominating,
                     "strict_efficient": rep.strict_efficient,
                     "nontower_exact": rep.nontower_exact,
                     "clause": rep.clause_interpretation,
                 },
-            }
+            )
         )
     return {"target": "torus", "claims": claims}
 

@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Every computing subcommand prints one key-sorted JSON report:
+Every computing subcommand returns its (inputs_digest, params, results)
+triple, and main alone wraps it into one key-sorted JSON report:
 
     {"command": ..., "inputs_digest": {...}, "params": {...},
      "results": {...}, "timing_ms": ..., "version": ...}
 
 The results payload is a pure function of the inputs; only timing_ms
 varies between runs.  `family` is the exception: it emits the .ug text
-itself.  Diagnostics go to stderr.  Exit codes: 0 success, 2 unreadable
-or malformed input, 3 infeasible parameters, 4 guard violation,
-5 internal error.
+itself.  Diagnostics go to stderr.  main also maps every failure to its
+exit code: 0 success, 2 unreadable or malformed input, 3 infeasible
+parameters, 4 guard violation, 5 internal error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
+# the first entry whose types match a raised error gives its exit code;
+# BdomError, the base of the other package errors, comes last
+_EXIT_CODES = (
+    ((ParseError, GraphConstructionError, OSError), EXIT_PARSE),
+    (InfeasibleParams, EXIT_INFEASIBLE),
+    (GuardError, EXIT_GUARD),
+    (BdomError, EXIT_INTERNAL),
+)
+
+Report = tuple[dict, dict, dict]  # inputs_digest, params, results
+
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -56,30 +68,13 @@ def _load_digraph(path: Path, directed: bool) -> tuple[Digraph, bool]:
     return parse_ug(text).as_digraph(), False
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True))
-
-
-def _wrap(command: str, digests: dict, params: dict, results, started: float) -> dict:
-    return {
-        "command": command,
-        "inputs_digest": digests,
-        "params": params,
-        "results": results,
-        "timing_ms": int((time.monotonic() - started) * 1000),
-        "version": __version__,
-    }
-
-
-def _cmd_solve(args: argparse.Namespace) -> dict:
+def _cmd_solve(args: argparse.Namespace) -> Report:
     """gamma or oracle: args.solve is the solver the subcommand picked."""
-    started = time.monotonic()
     src = Path(args.graph)
     d, directed = _load_digraph(src, args.directed)
     p = Params(args.t, args.r)
     result = args.solve(d, p)
-    return _wrap(
-        args.command,
+    return (
         {"graph": _digest(src)},
         {"t": p.t, "r": p.r, "directed": directed},
         {
@@ -88,44 +83,34 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
             "t": p.t,
             "r": p.r,
         },
-        started,
     )
 
 
-def _cmd_interval(args: argparse.Namespace) -> dict:
-    started = time.monotonic()
+def _cmd_interval(args: argparse.Namespace) -> Report:
     src = Path(args.graph)
     g = parse_ug(src.read_text(encoding="utf-8"))
     p = Params(args.t, args.r)
-    iv = domination_interval(g, p, keep_witnesses=args.witnesses, jobs=args.jobs)
+    iv = domination_interval(g, p, jobs=args.jobs)
     results = {
         "d": iv.d,
         "D": iv.D,
         "attained": sorted(iv.attained),
         "full": iv.full,
     }
-    if iv.witnesses is not None:
+    if args.witnesses:
         results["witnesses"] = {
             str(value): "".join(map(str, bits))
             for value, bits in iv.witnesses.items()
         }
-    return _wrap(
-        "interval",
-        {"graph": _digest(src)},
-        {"t": p.t, "r": p.r, "jobs": args.jobs},
-        results,
-        started,
-    )
+    return {"graph": _digest(src)}, {"t": p.t, "r": p.r, "jobs": args.jobs}, results
 
 
-def _cmd_walk(args: argparse.Namespace) -> dict:
-    started = time.monotonic()
+def _cmd_walk(args: argparse.Namespace) -> Report:
     src = Path(args.graph)
     g = parse_ug(src.read_text(encoding="utf-8"))
     p = Params(args.t, args.r)
     trace = flip_walk(g, args.from_bits, args.to_bits, p)
-    return _wrap(
-        "walk",
+    return (
         {"graph": _digest(src)},
         {"t": p.t, "r": p.r, "from": args.from_bits, "to": args.to_bits},
         {
@@ -133,7 +118,6 @@ def _cmd_walk(args: argparse.Namespace) -> dict:
             "gamma_sequence": list(trace.gamma_sequence),
             "max_step": max_step(trace),
         },
-        started,
     )
 
 
@@ -158,8 +142,7 @@ def _cmd_family(args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_torus(args: argparse.Namespace) -> dict:
-    started = time.monotonic()
+def _cmd_torus(args: argparse.Namespace) -> Report:
     digests = {}
     builtins = builtin_patterns()
     if args.pattern in builtins:
@@ -172,8 +155,7 @@ def _cmd_torus(args: argparse.Namespace) -> dict:
     mult = args.reps
     a, b = mult * pat.pa, mult * pat.pb
     report = check(pat, p, a, b, clause=args.clause)
-    return _wrap(
-        "torus",
+    return (
         digests,
         {
             "pattern": args.pattern,
@@ -195,16 +177,13 @@ def _cmd_torus(args: argparse.Namespace) -> dict:
                 for cell, rec in report.violations
             ],
         },
-        started,
     )
 
 
-def _cmd_jumps(args: argparse.Namespace) -> dict:
-    started = time.monotonic()
+def _cmd_jumps(args: argparse.Namespace) -> Report:
     p = Params(args.t, args.r)
     jumps = jump_search(p, args.budget, args.trials, args.seed)
-    return _wrap(
-        "jumps",
+    return (
         {},
         {
             "t": p.t,
@@ -227,17 +206,15 @@ def _cmd_jumps(args: argparse.Namespace) -> dict:
                 for j in jumps
             ],
         },
-        started,
     )
 
 
-def _cmd_audit(args: argparse.Namespace) -> dict:
-    started = time.monotonic()
+def _cmd_audit(args: argparse.Namespace) -> Report:
     report = run_audit(args.target)
     if args.md_out:
         Path(args.md_out).write_text(render_markdown(report), encoding="utf-8")
         print(f"wrote {args.md_out}", file=sys.stderr)
-    return _wrap("audit", {}, {"target": args.target}, report, started)
+    return {}, {"target": args.target}, report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,20 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
         report = args.func(args)
-    except (ParseError, GraphConstructionError, OSError) as exc:
+    except (BdomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except BdomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     except Exception as exc:  # the documented exit 5, never a traceback
         tb = exc.__traceback__
         while tb.tb_next is not None:
@@ -341,7 +310,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_INTERNAL
     if report is not None:
-        _emit(report)
+        digests, params, results = report
+        envelope = {
+            "command": args.command,
+            "inputs_digest": digests,
+            "params": params,
+            "results": results,
+            "timing_ms": int((time.monotonic() - started) * 1000),
+            "version": __version__,
+        }
+        print(json.dumps(envelope, sort_keys=True))
     return EXIT_OK
 
 

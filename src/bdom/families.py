@@ -21,10 +21,12 @@ from .errors import (
     InvalidDims,
     OutOfFormulaDomain,
     OutOfRange,
+    TooLarge,
     TooManyEdges,
 )
 from .graphs import (
     MAX_ENUM_EDGES,
+    MAX_PARSED_VERTICES,
     Digraph,
     Graph,
     Params,
@@ -35,10 +37,20 @@ from .graphs import (
 from .interval import DominationInterval
 
 
+def _check_size(kind: str, n: int) -> None:
+    """Generated graphs stay within what parse_ug reads back."""
+    if n > MAX_PARSED_VERTICES:
+        raise TooLarge(
+            f"{kind} would have {n} vertices; generators are guarded at"
+            f" {MAX_PARSED_VERTICES}"
+        )
+
+
 def grid(m: int, n: int) -> Graph:
     """Grid with m rows and n columns."""
     if m < 1 or n < 1:
         raise InvalidDims(f"grid dimensions must be positive, got ({m}, {n})")
+    _check_size("grid", m * n)
     edges = []
     for i in range(m):
         for j in range(n - 1):
@@ -53,12 +65,14 @@ def star(n: int) -> Graph:
     """Star: center 0 adjacent to the n - 1 leaves."""
     if n < 2:
         raise InvalidDims(f"star needs at least 2 vertices, got {n}")
+    _check_size("star", n)
     return build_graph(n, [(0, k + 1) for k in range(n - 1)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InvalidDims(f"path needs at least 1 vertex, got {n}")
+    _check_size("path", n)
     return build_graph(n, [(k, k + 1) for k in range(n - 1)])
 
 
@@ -149,7 +163,6 @@ def star_interval(n: int, p: Params) -> DominationInterval:
         D=hi,
         attained=frozenset(range(lo, hi + 1)),
         full=True,
-        witnesses=None,
     )
 
 

@@ -495,9 +495,11 @@ def is_dominating(d: Digraph, towers: Iterable[int], p: Params) -> bool:
 # .ug (undirected): first line "n m", then m lines "u v"; canonical edge
 # order is line order.  .dg (directed): same framing, lines are arcs
 # u -> v.  Lines starting with '#' are comments and blank lines are
-# ignored, in .pat files too (lattice.parse_pat reads _payload_lines).
-# A header may declare at most MAX_PARSED_VERTICES vertices, checked
-# before any per-vertex list is allocated.
+# ignored, in .pat files too (lattice.parse_pat reads _payload_lines and
+# _header_ints).  A header may declare at most MAX_PARSED_VERTICES
+# vertices, checked before any per-vertex list is allocated.  The same
+# limit bounds the sizes that come from argv: generated grids, stars and
+# paths, tori and the jump search's vertex budget.
 
 MAX_PARSED_VERTICES = 10_000
 
@@ -512,16 +514,21 @@ def _payload_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_header(lines: list[str], kind: str) -> tuple[int, int]:
+def _header_ints(lines: list[str], kind: str, shape: str) -> tuple[int, int]:
+    """The two integers of a header line; shape names them in errors."""
     if not lines:
         raise ParseError(f"empty {kind} input")
     head = lines[0].split()
     if len(head) != 2:
-        raise ParseError(f"{kind} header must be 'n m', got {lines[0]!r}")
+        raise ParseError(f"{kind} header must be {shape}, got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        return int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError(f"{kind} header must be integers: {lines[0]!r}") from exc
+
+
+def _parse_header(lines: list[str], kind: str) -> tuple[int, int]:
+    n, m = _header_ints(lines, kind, "'n m'")
     if n < 0 or m < 0:
         raise ParseError(f"{kind} header values must be nonnegative: {lines[0]!r}")
     if n > MAX_PARSED_VERTICES:

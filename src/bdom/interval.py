@@ -22,13 +22,14 @@ from __future__ import annotations
 import os
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Sequence
 
-from .errors import OutOfRange, TooManyEdges
+from .errors import OutOfRange, TooLarge, TooManyEdges
 from .graphs import (
     MAX_ENUM_EDGES,
+    MAX_PARSED_VERTICES,
     Bits,
     Graph,
     Params,
@@ -48,15 +49,17 @@ class DominationInterval:
     """Attained gamma values over all orientations of one graph.
 
     d/D are the extremes, attained is the full value set, full says
-    whether every integer in [d, D] is attained, witnesses optionally
-    maps each attained value to the lowest-index orientation producing it.
+    whether every integer in [d, D] is attained, witnesses maps each
+    attained value to the lowest-index orientation producing it.
+    domination_interval always fills witnesses; a closed form such as
+    families.star_interval has none, and equality ignores them.
     """
 
     d: int
     D: int
     attained: frozenset[int]
     full: bool
-    witnesses: dict[int, tuple[int, ...]] | None = None
+    witnesses: dict[int, tuple[int, ...]] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,7 @@ def _scan(
     return first
 
 
-def domination_interval(
-    g: Graph, p: Params, keep_witnesses: bool = False, jobs: int = 1
-) -> DominationInterval:
+def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterval:
     """gamma over all 2^|E| orientations, solving one per symmetry orbit.
 
     jobs worker processes (at most the CPU count) take strided slices of
@@ -164,18 +165,15 @@ def domination_interval(
     lo = min(first)
     hi = max(first)
     attained = frozenset(first)
-    witnesses = None
-    if keep_witnesses:
-        witnesses = {
-            value: bits_from_index(index, num_edges)
-            for value, index in sorted(first.items())
-        }
     return DominationInterval(
         d=lo,
         D=hi,
         attained=attained,
         full=all(v in attained for v in range(lo, hi + 1)),
-        witnesses=witnesses,
+        witnesses={
+            value: bits_from_index(index, num_edges)
+            for value, index in sorted(first.items())
+        },
     )
 
 
@@ -279,10 +277,14 @@ def jump_search(
     vertices and an orientation, then tries every single-edge flip and
     records the ones that move gamma by at least 2.  Both endpoint
     values come from the solver, so each returned Jump is its own
-    certificate.
+    certificate.  vertex_budget is at most MAX_PARSED_VERTICES.
     """
     if vertex_budget < 1:
         raise OutOfRange(f"vertex budget must be >= 1, got {vertex_budget}")
+    if vertex_budget > MAX_PARSED_VERTICES:
+        raise TooLarge(
+            f"vertex budget {vertex_budget} exceeds the guard of {MAX_PARSED_VERTICES}"
+        )
     rng = random.Random(seed)
     found: list[Jump] = []
     low = min(4, vertex_budget)

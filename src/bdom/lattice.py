@@ -28,7 +28,15 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .graphs import Digraph, Params, _payload_lines, reception
+from .families import grid, orient_source_towers
+from .graphs import (
+    MAX_PARSED_VERTICES,
+    Digraph,
+    Params,
+    _header_ints,
+    _payload_lines,
+    reception,
+)
 from .interval import domination_interval
 from .solver import gamma, gamma_undirected
 
@@ -90,12 +98,19 @@ def density(pat: TorusPattern) -> Fraction:
 def torus_digraph(
     pat: TorusPattern, a: int, b: int
 ) -> tuple[Digraph, frozenset[int]]:
-    """Tile the pattern over an a x b torus; vertex (i, j) has id i*b + j."""
+    """Tile the pattern over an a x b torus; vertex (i, j) has id i*b + j.
+
+    The torus may have at most MAX_PARSED_VERTICES cells.
+    """
     if a < 3 or b < 3:
         raise DegenerateTorus(f"torus must be at least 3x3, got {a}x{b}")
     if a % pat.pa or b % pat.pb:
         raise NotAMultiple(
             f"{a}x{b} is not a multiple of the {pat.pa}x{pat.pb} period"
+        )
+    if a * b > MAX_PARSED_VERTICES:
+        raise TooLarge(
+            f"{a}x{b} torus has {a * b} cells; tori are guarded at {MAX_PARSED_VERTICES}"
         )
     arcs = []
     towers = set()
@@ -167,6 +182,14 @@ def check(
     )
 
 
+# the built-in patterns as .pat text
+_BUILTIN_PATS = {
+    "diag13": "3 3\nT..\n..T\n.T.\n001\n010\n100\n001\n010\n100\n",
+    "checker12": "2 2\nT.\n.T\n00\n00\n00\n00\n",
+    "dense23": "3 3\n.TT\nTT.\nT.T\n000\n000\n000\n000\n000\n000\n",
+}
+
+
 def builtin_patterns() -> dict[str, TorusPattern]:
     """The three certified (2,2) pattern constructions.
 
@@ -180,46 +203,7 @@ def builtin_patterns() -> dict[str, TorusPattern]:
     other, so this one is dominating and non-tower-exact but cannot be
     strictly efficient.
     """
-    def diag_tower(i: int, j: int) -> bool:
-        return (i + j) % 3 == 0
-
-    east = []
-    north = []
-    for i in range(3):
-        east_row = []
-        north_row = []
-        for j in range(3):
-            # outward from whichever endpoint is the tower; towers are
-            # never adjacent in this pattern so the cases are exclusive
-            east_row.append(1 if diag_tower(i, (j + 1) % 3) else 0)
-            north_row.append(1 if diag_tower((i + 1) % 3, j) else 0)
-        east.append(tuple(east_row))
-        north.append(tuple(north_row))
-    diag13 = TorusPattern(
-        towers=tuple(
-            tuple(diag_tower(i, j) for j in range(3)) for i in range(3)
-        ),
-        east_bits=tuple(east),
-        north_bits=tuple(north),
-        name="diag13",
-    )
-    zeros2 = ((0, 0), (0, 0))
-    checker12 = TorusPattern(
-        towers=((True, False), (False, True)),
-        east_bits=zeros2,
-        north_bits=zeros2,
-        name="checker12",
-    )
-    zeros3 = tuple(((0,) * 3) for _ in range(3))
-    dense23 = TorusPattern(
-        towers=tuple(
-            tuple((i + j) % 3 != 0 for j in range(3)) for i in range(3)
-        ),
-        east_bits=zeros3,
-        north_bits=zeros3,
-        name="dense23",
-    )
-    return {"diag13": diag13, "checker12": checker12, "dense23": dense23}
+    return {name: parse_pat(text, name) for name, text in _BUILTIN_PATS.items()}
 
 
 # ---- pattern text format -----------------------------------------------------
@@ -230,15 +214,7 @@ def builtin_patterns() -> dict[str, TorusPattern]:
 
 def parse_pat(text: str, name: str = "") -> TorusPattern:
     lines = _payload_lines(text)
-    if not lines:
-        raise ParseError("empty .pat input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f".pat header must be 'pa pb', got {lines[0]!r}")
-    try:
-        pa, pb = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f".pat header must be integers: {lines[0]!r}") from exc
+    pa, pb = _header_ints(lines, ".pat", "'pa pb'")
     if pa < 1 or pb < 1:
         raise ParseError(f".pat period must be positive, got {pa}x{pb}")
     if len(lines) != 1 + 3 * pa:
@@ -315,8 +291,6 @@ def embedded_grid_claim(m: int, n: int) -> GridEmbedAudit:
     lower endpoint is probed with the source-tower construction and the
     upper endpoint is left undecided.
     """
-    from .families import grid, orient_source_towers  # local: avoid module cycle
-
     if m * n > 30:
         raise TooLarge(f"{m}x{n} grid exceeds the mn <= 30 audit guard")
     p = Params(2, 2)

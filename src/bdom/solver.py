@@ -164,8 +164,6 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
                 best_size = size
                 best_mask = chosen
             return
-        if size + 1 >= best_size:
-            return
         lb = -(-total // static_max)
         if size + lb >= best_size:
             return

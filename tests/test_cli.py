@@ -235,6 +235,39 @@ def test_exit_code_guard_jumps_budget(capsys):
     assert err.startswith("error: vertex budget") and err.count("\n") == 1
 
 
+def test_exit_code_guard_torus_reps(capsys):
+    # 1000 periods of diag13 a side would be a 3000x3000 torus
+    rc = main(["torus", "--pattern", "diag13", "--t", "2", "--r", "2", "--reps", "1000"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err == (
+        "error: 3000x3000 torus has 9000000 cells;"
+        f" tori are guarded at {MAX_PARSED_VERTICES}\n"
+    )
+
+
+def test_exit_code_guard_jumps_large_budget(capsys):
+    rc = main(["jumps", "--t", "5", "--r", "3", "--budget", str(10**9),
+               "--trials", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err == (
+        f"error: vertex budget {10**9} exceeds the guard of {MAX_PARSED_VERTICES}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["grid", "--m", "101", "--n", "100"], ["star", "--n", "10001"], ["path", "--n", "10001"]]
+)
+def test_exit_code_guard_family_size(argv, tmp_path, capsys):
+    out = tmp_path / "big.ug"
+    assert main(["family", *argv, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: {argv[0]} would have")
+    assert captured.err.endswith(f"generators are guarded at {MAX_PARSED_VERTICES}\n")
+
+
 @pytest.mark.parametrize("command", ["gamma", "oracle", "interval"])
 def test_exit_code_guard_oversized_header(command, tmp_path, capsys):
     src = tmp_path / "huge.ug"

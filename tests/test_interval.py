@@ -55,7 +55,7 @@ def test_interval_guards():
 
 
 def test_witnesses_map_to_first_orientation():
-    iv = domination_interval(star(4), Params(2, 1), keep_witnesses=True)
+    iv = domination_interval(star(4), Params(2, 1))
     assert iv.witnesses is not None
     assert set(iv.witnesses) == set(iv.attained)
     for value, bits in iv.witnesses.items():
@@ -67,8 +67,8 @@ def test_witnesses_map_to_first_orientation():
 def test_partition_independence_across_jobs():
     g = star(5)
     p = Params(2, 2)
-    seq = domination_interval(g, p, keep_witnesses=True, jobs=1)
-    par = domination_interval(g, p, keep_witnesses=True, jobs=2)
+    seq = domination_interval(g, p, jobs=1)
+    par = domination_interval(g, p, jobs=2)
     assert (seq.d, seq.D, seq.attained, seq.witnesses) == (
         par.d,
         par.D,
@@ -127,13 +127,13 @@ def test_flip_walk_endpoints_match_independent_solves():
 def test_witness_orientation_found_and_absent():
     g = star(5)
     p = Params(2, 1)
-    witnesses = domination_interval(g, p, keep_witnesses=True).witnesses
+    witnesses = domination_interval(g, p).witnesses
     bits = witnesses.get(3)
     assert bits is not None
     assert gamma(orient(g, bits), p).gamma == 3
     assert witnesses.get(5) is None
     p2 = build_graph(2, [(0, 1)])
-    iv = domination_interval(p2, Params(2, 1), keep_witnesses=True)
+    iv = domination_interval(p2, Params(2, 1))
     assert iv.witnesses.get(1) == (0,)
 
 
@@ -182,7 +182,7 @@ def test_interval_matches_full_scan_on_sampled_graphs():
     for g in rng.sample(small, 6) + [hexagon, grid(2, 3)]:
         for p in SIX_PAIRS:
             first = _full_scan(g, p)
-            iv = domination_interval(g, p, keep_witnesses=True)
+            iv = domination_interval(g, p)
             assert (iv.d, iv.D, iv.attained) == (min(first), max(first), frozenset(first))
             assert iv.witnesses == {
                 value: bits_from_index(i, len(g.edges))
@@ -206,7 +206,7 @@ def test_star16_interval_matches_closed_form(p):
 )
 def test_pool_path_matches_serial(monkeypatch, g):
     p = Params(2, 2)
-    serial = domination_interval(g, p, keep_witnesses=True, jobs=1)
+    serial = domination_interval(g, p, jobs=1)
     opened = []
     real_pool = bdom.interval.Pool
 
@@ -216,6 +216,6 @@ def test_pool_path_matches_serial(monkeypatch, g):
 
     monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(bdom.interval, "Pool", spy)
-    pooled = domination_interval(g, p, keep_witnesses=True, jobs=2)
+    pooled = domination_interval(g, p, jobs=2)
     assert opened == [2]
     assert pooled == serial

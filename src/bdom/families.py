@@ -21,15 +21,14 @@ from .errors import (
     InvalidDims,
     OutOfFormulaDomain,
     OutOfRange,
-    TooLarge,
     TooManyEdges,
 )
 from .graphs import (
     MAX_ENUM_EDGES,
-    MAX_PARSED_VERTICES,
     Digraph,
     Graph,
     Params,
+    _check_size,
     build_graph,
     orient,
     orient_index,
@@ -37,20 +36,11 @@ from .graphs import (
 from .interval import DominationInterval
 
 
-def _check_size(kind: str, n: int) -> None:
-    """Generated graphs stay within what parse_ug reads back."""
-    if n > MAX_PARSED_VERTICES:
-        raise TooLarge(
-            f"{kind} would have {n} vertices; generators are guarded at"
-            f" {MAX_PARSED_VERTICES}"
-        )
-
-
 def grid(m: int, n: int) -> Graph:
     """Grid with m rows and n columns."""
     if m < 1 or n < 1:
         raise InvalidDims(f"grid dimensions must be positive, got ({m}, {n})")
-    _check_size("grid", m * n)
+    _check_size(f"{m}x{n} grid", m * n)
     edges = []
     for i in range(m):
         for j in range(n - 1):

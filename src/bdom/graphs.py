@@ -504,6 +504,14 @@ def is_dominating(d: Digraph, towers: Iterable[int], p: Params) -> bool:
 MAX_PARSED_VERTICES = 10_000
 
 
+def _check_size(what: str, n: int) -> None:
+    """The guard on a size from argv, raised before anything is built."""
+    if n > MAX_PARSED_VERTICES:
+        raise TooLarge(
+            f"{what}: {n} vertices exceed the size guard of {MAX_PARSED_VERTICES}"
+        )
+
+
 def _payload_lines(text: str) -> list[str]:
     lines = []
     for raw in text.splitlines():

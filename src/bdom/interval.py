@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Sequence
 
-from .errors import OutOfRange, TooLarge, TooManyEdges
+from .errors import OutOfRange, TooManyEdges
 from .graphs import (
     MAX_ENUM_EDGES,
-    MAX_PARSED_VERTICES,
     Bits,
     Graph,
     Params,
+    _check_size,
     automorphism_generators,
     bits_from_index,
     build_graph,
@@ -281,10 +281,7 @@ def jump_search(
     """
     if vertex_budget < 1:
         raise OutOfRange(f"vertex budget must be >= 1, got {vertex_budget}")
-    if vertex_budget > MAX_PARSED_VERTICES:
-        raise TooLarge(
-            f"vertex budget {vertex_budget} exceeds the guard of {MAX_PARSED_VERTICES}"
-        )
+    _check_size("vertex budget", vertex_budget)
     rng = random.Random(seed)
     found: list[Jump] = []
     low = min(4, vertex_budget)

@@ -30,9 +30,9 @@ from .errors import (
 )
 from .families import grid, orient_source_towers
 from .graphs import (
-    MAX_PARSED_VERTICES,
     Digraph,
     Params,
+    _check_size,
     _header_ints,
     _payload_lines,
     reception,
@@ -108,10 +108,7 @@ def torus_digraph(
         raise NotAMultiple(
             f"{a}x{b} is not a multiple of the {pat.pa}x{pat.pb} period"
         )
-    if a * b > MAX_PARSED_VERTICES:
-        raise TooLarge(
-            f"{a}x{b} torus has {a * b} cells; tori are guarded at {MAX_PARSED_VERTICES}"
-        )
+    _check_size(f"{a}x{b} torus", a * b)
     arcs = []
     towers = set()
     for i in range(a):

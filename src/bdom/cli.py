@@ -34,7 +34,13 @@ from .errors import (
 from .families import grid, path as path_graph, star
 from .graphs import Digraph, Params, format_ug, parse_dg, parse_ug
 from .interval import domination_interval, flip_walk, jump_search, max_step
-from .lattice import CLAUSE_LITERAL, CLAUSE_SELF_CONSISTENT, builtin_patterns, check, parse_pat
+from .lattice import (
+    BUILTIN_PATTERNS,
+    CLAUSE_LITERAL,
+    CLAUSE_SELF_CONSISTENT,
+    check,
+    parse_pat,
+)
 from .solver import gamma, gamma_bruteforce
 
 EXIT_OK = 0
@@ -144,13 +150,13 @@ def _cmd_family(args: argparse.Namespace) -> None:
 
 def _cmd_torus(args: argparse.Namespace) -> Report:
     digests = {}
-    builtins = builtin_patterns()
-    if args.pattern in builtins:
-        pat = builtins[args.pattern]
+    if args.pattern in BUILTIN_PATTERNS:
+        text, name = BUILTIN_PATTERNS[args.pattern], args.pattern
     else:
         src = Path(args.pattern)
         digests["pattern"] = _digest(src)
-        pat = parse_pat(src.read_text(encoding="utf-8"), name=src.stem)
+        text, name = src.read_text(encoding="utf-8"), src.stem
+    pat = parse_pat(text, name=name)
     p = Params(args.t, args.r)
     mult = args.reps
     a, b = mult * pat.pa, mult * pat.pb

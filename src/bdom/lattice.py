@@ -180,7 +180,7 @@ def check(
 
 
 # the built-in patterns as .pat text
-_BUILTIN_PATS = {
+BUILTIN_PATTERNS = {
     "diag13": "3 3\nT..\n..T\n.T.\n001\n010\n100\n001\n010\n100\n",
     "checker12": "2 2\nT.\n.T\n00\n00\n00\n00\n",
     "dense23": "3 3\n.TT\nTT.\nT.T\n000\n000\n000\n000\n000\n000\n",
@@ -200,7 +200,7 @@ def builtin_patterns() -> dict[str, TorusPattern]:
     other, so this one is dominating and non-tower-exact but cannot be
     strictly efficient.
     """
-    return {name: parse_pat(text, name) for name, text in _BUILTIN_PATS.items()}
+    return {name: parse_pat(text, name) for name, text in BUILTIN_PATTERNS.items()}
 
 
 # ---- pattern text format -----------------------------------------------------

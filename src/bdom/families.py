@@ -40,7 +40,7 @@ def grid(m: int, n: int) -> Graph:
     """Grid with m rows and n columns."""
     if m < 1 or n < 1:
         raise InvalidDims(f"grid dimensions must be positive, got ({m}, {n})")
-    _check_size(f"{m}x{n} grid", m * n)
+    _check_size(m * n, f"{m}x{n} grid has", "generation")
     edges = []
     for i in range(m):
         for j in range(n - 1):
@@ -55,14 +55,14 @@ def star(n: int) -> Graph:
     """Star: center 0 adjacent to the n - 1 leaves."""
     if n < 2:
         raise InvalidDims(f"star needs at least 2 vertices, got {n}")
-    _check_size("star", n)
+    _check_size(n, "star has", "generation")
     return build_graph(n, [(0, k + 1) for k in range(n - 1)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InvalidDims(f"path needs at least 1 vertex, got {n}")
-    _check_size("path", n)
+    _check_size(n, "path has", "generation")
     return build_graph(n, [(k, k + 1) for k in range(n - 1)])
 
 

@@ -504,11 +504,11 @@ def is_dominating(d: Digraph, towers: Iterable[int], p: Params) -> bool:
 MAX_PARSED_VERTICES = 10_000
 
 
-def _check_size(what: str, n: int) -> None:
-    """The guard on a size from argv, raised before anything is built."""
+def _check_size(n: int, subject: str, action: str) -> None:
+    """The guard on a vertex count, raised before anything is built."""
     if n > MAX_PARSED_VERTICES:
         raise TooLarge(
-            f"{what}: {n} vertices exceed the size guard of {MAX_PARSED_VERTICES}"
+            f"{subject} {n} vertices; {action} is guarded at {MAX_PARSED_VERTICES}"
         )
 
 
@@ -539,10 +539,7 @@ def _parse_header(lines: list[str], kind: str) -> tuple[int, int]:
     n, m = _header_ints(lines, kind, "'n m'")
     if n < 0 or m < 0:
         raise ParseError(f"{kind} header values must be nonnegative: {lines[0]!r}")
-    if n > MAX_PARSED_VERTICES:
-        raise TooLarge(
-            f"{kind} declares {n} vertices; parsing is guarded at {MAX_PARSED_VERTICES}"
-        )
+    _check_size(n, f"{kind} declares", "parsing")
     if len(lines) - 1 != m:
         raise ParseError(
             f"{kind} declares {m} lines but has {len(lines) - 1}"

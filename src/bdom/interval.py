@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Sequence
 
@@ -52,14 +52,14 @@ class DominationInterval:
     whether every integer in [d, D] is attained, witnesses maps each
     attained value to the lowest-index orientation producing it.
     domination_interval always fills witnesses; a closed form such as
-    families.star_interval has none, and equality ignores them.
+    families.star_interval has none.
     """
 
     d: int
     D: int
     attained: frozenset[int]
     full: bool
-    witnesses: dict[int, tuple[int, ...]] | None = field(default=None, compare=False)
+    witnesses: dict[int, tuple[int, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def jump_search(
     """
     if vertex_budget < 1:
         raise OutOfRange(f"vertex budget must be >= 1, got {vertex_budget}")
-    _check_size("vertex budget", vertex_budget)
+    _check_size(vertex_budget, "vertex budget of", "the jump search")
     rng = random.Random(seed)
     found: list[Jump] = []
     low = min(4, vertex_budget)

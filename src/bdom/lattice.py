@@ -108,7 +108,7 @@ def torus_digraph(
         raise NotAMultiple(
             f"{a}x{b} is not a multiple of the {pat.pa}x{pat.pb} period"
         )
-    _check_size(f"{a}x{b} torus", a * b)
+    _check_size(a * b, f"{a}x{b} torus has", "building")
     arcs = []
     towers = set()
     for i in range(a):

@@ -241,8 +241,8 @@ def test_exit_code_guard_torus_reps(capsys):
     captured = capsys.readouterr()
     assert rc == 4 and captured.out == ""
     assert captured.err == (
-        "error: 3000x3000 torus: 9000000 vertices exceed the size guard of"
-        f" {MAX_PARSED_VERTICES}\n"
+        "error: 3000x3000 torus has 9000000 vertices;"
+        f" building is guarded at {MAX_PARSED_VERTICES}\n"
     )
 
 
@@ -252,17 +252,17 @@ def test_exit_code_guard_jumps_large_budget(capsys):
     captured = capsys.readouterr()
     assert rc == 4 and captured.out == ""
     assert captured.err == (
-        f"error: vertex budget: {10**9} vertices exceed the size guard of"
-        f" {MAX_PARSED_VERTICES}\n"
+        f"error: vertex budget of {10**9} vertices;"
+        f" the jump search is guarded at {MAX_PARSED_VERTICES}\n"
     )
 
 
 @pytest.mark.parametrize(
     "argv, subject",
     [
-        ("grid --m 101 --n 100", "101x100 grid: 10100"),
-        ("star --n 10001", "star: 10001"),
-        ("path --n 10001", "path: 10001"),
+        ("grid --m 101 --n 100", "101x100 grid has 10100"),
+        ("star --n 10001", "star has 10001"),
+        ("path --n 10001", "path has 10001"),
     ],
 )
 def test_exit_code_guard_family_size(argv, subject, tmp_path, capsys):
@@ -271,7 +271,7 @@ def test_exit_code_guard_family_size(argv, subject, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == (
-        f"error: {subject} vertices exceed the size guard of {MAX_PARSED_VERTICES}\n"
+        f"error: {subject} vertices; generation is guarded at {MAX_PARSED_VERTICES}\n"
     )
 
 

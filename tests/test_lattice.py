@@ -1,11 +1,15 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bdom import Params, TooLarge, is_dominating
 from bdom.errors import DegenerateTorus, NotAMultiple, ParseError
 from bdom.lattice import (
+    BUILTIN_PATTERNS,
     CLAUSE_LITERAL,
     CLAUSE_SELF_CONSISTENT,
     TorusPattern,
@@ -192,6 +196,19 @@ def test_pat_round_trip():
         assert again.east_bits == pat.east_bits
         assert again.north_bits == pat.north_bits
         assert format_pat(again) == text
+
+
+def test_builtin_pattern_texts_match_bench(monkeypatch):
+    # bench/workloads.py imports nothing from bdom, so it keeps its own copy
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.BUILTIN_PATTERNS == BUILTIN_PATTERNS
+    for name, text in BUILTIN_PATTERNS.items():
+        assert format_pat(builtin_patterns()[name]) == text
 
 
 @pytest.mark.parametrize(

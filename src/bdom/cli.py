@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .families import grid, path as path_graph, star
-from .graphs import Digraph, Params, format_ug, parse_dg, parse_ug
+from .graphs import Params, format_ug, parse_dg, parse_ug
 from .interval import domination_interval, flip_walk, jump_search, max_step
 from .lattice import (
     BUILTIN_PATTERNS,
@@ -61,27 +61,28 @@ _EXIT_CODES = (
 Report = tuple[dict, dict, dict]  # inputs_digest, params, results
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_digraph(path: Path, directed: bool) -> tuple[Digraph, bool]:
-    """The file as a digraph, and whether it was read as directed: a .ug
-    becomes its doubly directed equivalent."""
-    text = path.read_text(encoding="utf-8")
-    if directed or path.suffix == ".dg":
-        return parse_dg(text), True
-    return parse_ug(text).as_digraph(), False
+def _read_input(path: Path) -> tuple[str, str]:
+    """The file's text, decoded as strict UTF-8, and the sha256 of its
+    bytes, from one read; undecodable bytes raise ParseError."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _cmd_solve(args: argparse.Namespace) -> Report:
-    """gamma or oracle: args.solve is the solver the subcommand picked."""
+    """gamma or oracle, solved by args.solve; a .dg file is a digraph,
+    any other file a .ug graph read as its doubly directed equivalent."""
     src = Path(args.graph)
-    d, directed = _load_digraph(src, args.directed)
+    text, digest = _read_input(src)
+    directed = src.suffix == ".dg"
+    d = parse_dg(text) if directed else parse_ug(text).as_digraph()
     p = Params(args.t, args.r)
     result = args.solve(d, p)
     return (
-        {"graph": _digest(src)},
+        {"graph": digest},
         {"t": p.t, "r": p.r, "directed": directed},
         {
             "gamma": result.gamma,
@@ -93,8 +94,8 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
 
 
 def _cmd_interval(args: argparse.Namespace) -> Report:
-    src = Path(args.graph)
-    g = parse_ug(src.read_text(encoding="utf-8"))
+    text, digest = _read_input(Path(args.graph))
+    g = parse_ug(text)
     p = Params(args.t, args.r)
     iv = domination_interval(g, p, jobs=args.jobs)
     results = {
@@ -108,16 +109,16 @@ def _cmd_interval(args: argparse.Namespace) -> Report:
             str(value): "".join(map(str, bits))
             for value, bits in iv.witnesses.items()
         }
-    return {"graph": _digest(src)}, {"t": p.t, "r": p.r, "jobs": args.jobs}, results
+    return {"graph": digest}, {"t": p.t, "r": p.r, "jobs": args.jobs}, results
 
 
 def _cmd_walk(args: argparse.Namespace) -> Report:
-    src = Path(args.graph)
-    g = parse_ug(src.read_text(encoding="utf-8"))
+    text, digest = _read_input(Path(args.graph))
+    g = parse_ug(text)
     p = Params(args.t, args.r)
     trace = flip_walk(g, args.from_bits, args.to_bits, p)
     return (
-        {"graph": _digest(src)},
+        {"graph": digest},
         {"t": p.t, "r": p.r, "from": args.from_bits, "to": args.to_bits},
         {
             "flips": list(trace.flip_sequence),
@@ -128,18 +129,13 @@ def _cmd_walk(args: argparse.Namespace) -> Report:
 
 
 def _cmd_family(args: argparse.Namespace) -> None:
+    if args.n is None or (args.kind == "grid" and args.m is None):
+        flags = "--m and --n" if args.kind == "grid" else "--n"
+        raise ParseError(f"family {args.kind} needs {flags}")
     if args.kind == "grid":
-        if args.m is None or args.n is None:
-            raise ParseError("family grid needs --m and --n")
         g = grid(args.m, args.n)
-    elif args.kind == "star":
-        if args.n is None:
-            raise ParseError("family star needs --n")
-        g = star(args.n)
     else:
-        if args.n is None:
-            raise ParseError("family path needs --n")
-        g = path_graph(args.n)
+        g = (star if args.kind == "star" else path_graph)(args.n)
     text = format_ug(g)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -154,12 +150,11 @@ def _cmd_torus(args: argparse.Namespace) -> Report:
         text, name = BUILTIN_PATTERNS[args.pattern], args.pattern
     else:
         src = Path(args.pattern)
-        digests["pattern"] = _digest(src)
-        text, name = src.read_text(encoding="utf-8"), src.stem
+        text, digests["pattern"] = _read_input(src)
+        name = src.stem
     pat = parse_pat(text, name=name)
     p = Params(args.t, args.r)
-    mult = args.reps
-    a, b = mult * pat.pa, mult * pat.pb
+    a, b = args.reps * pat.pa, args.reps * pat.pb
     report = check(pat, p, a, b, clause=args.clause)
     return (
         digests,
@@ -239,13 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gamma", help="domination number of one (di)graph")
     sp.add_argument("graph", help=".ug or .dg file")
     add_params(sp)
-    sp.add_argument("--directed", action="store_true", help="treat input as .dg")
     sp.set_defaults(func=_cmd_solve, solve=gamma)
 
     sp = sub.add_parser("oracle", help="brute-force domination number")
-    sp.add_argument("graph")
+    sp.add_argument("graph", help=".ug or .dg file")
     add_params(sp)
-    sp.add_argument("--directed", action="store_true")
     sp.set_defaults(func=_cmd_solve, solve=gamma_bruteforce)
 
     sp = sub.add_parser("interval", help="gamma over all orientations")

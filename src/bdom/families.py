@@ -17,14 +17,8 @@ depends on the solver's search path.
 
 from __future__ import annotations
 
-from .errors import (
-    InvalidDims,
-    OutOfFormulaDomain,
-    OutOfRange,
-    TooManyEdges,
-)
+from .errors import InvalidDims, OutOfFormulaDomain, OutOfRange
 from .graphs import (
-    MAX_ENUM_EDGES,
     Digraph,
     Graph,
     Params,
@@ -33,7 +27,7 @@ from .graphs import (
     orient,
     orient_index,
 )
-from .interval import DominationInterval
+from .interval import DominationInterval, _scan, orbit_minima
 
 
 def grid(m: int, n: int) -> Graph:
@@ -218,29 +212,22 @@ def _orient_away(
     return orient(g, bits), tuple(flagged)
 
 
+def _indegree_le1_count(d: Digraph) -> int:
+    heads = [0] * d.n
+    for out in d.out_adjacency:
+        for w in out:
+            heads[w] += 1
+    return sum(1 for x in heads if x <= 1)
+
+
 def max_indegree_le1_orientation(m: int, n: int) -> tuple[Digraph, int]:
     """Orientation of the mxN grid maximizing vertices of in-degree <= 1.
 
-    Exhaustive over all 2^|E| orientations; returns the first maximizer
-    in enumeration order together with the count.
+    Exhaustive over all 2^|E| orientations, scanning one per Aut(grid)
+    orbit (the count is the same across an orbit); returns the first
+    maximizer in enumeration order together with the count.
     """
     g = grid(m, n)
-    edges = g.edges
-    num_edges = len(edges)
-    if num_edges > MAX_ENUM_EDGES:
-        raise TooManyEdges(
-            f"{m}x{n} grid has {num_edges} edges;"
-            f" exact search is guarded at {MAX_ENUM_EDGES}"
-        )
-    best_count = -1
-    best_mask = 0
-    for mask in range(1 << num_edges):
-        indeg = [0] * g.n
-        for k, (u, v) in enumerate(edges):
-            head = u if (mask >> k) & 1 else v
-            indeg[head] += 1
-        count = sum(1 for x in indeg if x <= 1)
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-    return orient_index(g, best_mask), best_count
+    first = _scan(g, _indegree_le1_count, orbit_minima(g))
+    best = max(first)
+    return orient_index(g, first[best]), best

@@ -176,7 +176,8 @@ class Digraph:
 
         cover_out[v] lists (w, t - d(v, w)) for every w with d(v, w) < t,
         in breadth-first order starting with (v, t), from one truncated
-        breadth-first search per source.
+        breadth-first search per source.  Raises TooLarge past
+        MAX_COVER_PAIRS pairs.
         """
         cover_out = self._cover_cache.get(t)
         if cover_out is None:
@@ -186,8 +187,15 @@ class Digraph:
         return cover_out
 
 
+# the most (tower, vertex) pairs one cover table may hold (~70 bytes a
+# pair); n vertices give at most n * n, so smaller tables go uncounted
+MAX_COVER_PAIRS = 5_000_000
+
+
 def _build_cover(adjacency: tuple[tuple[int, ...], ...], t: int) -> CoverOut:
     n = len(adjacency)
+    guarded = n * n > MAX_COVER_PAIRS
+    total = 0
     cover_out: list[tuple[tuple[int, int], ...]] = []
     # mark[w] == v: w already reached from source v
     mark = [-1] * n
@@ -207,6 +215,13 @@ def _build_cover(adjacency: tuple[tuple[int, ...], ...], t: int) -> CoverOut:
             frontier = reached
             c -= 1
         cover_out.append(tuple(pairs))
+        if guarded:
+            total += len(pairs)
+            if total > MAX_COVER_PAIRS:
+                raise TooLarge(
+                    f"cover table of {n} vertices at t={t} exceeds"
+                    f" the guard of {MAX_COVER_PAIRS} pairs"
+                )
     return tuple(cover_out)
 
 
@@ -297,8 +312,18 @@ def orient_index(graph: Graph, index: int) -> Digraph:
 
 
 # the most edges an orientation search enumerates: 2^24 indices, and
-# orientation_image keeps one lookup table per byte of an index
+# orientation_image keeps one lookup table per byte of an index.
+# _check_enum is the one check against it.
 MAX_ENUM_EDGES = 24
+
+
+def _check_enum(num_edges: int) -> None:
+    """The guard on enumerating 2^num_edges orientation indices."""
+    if num_edges > MAX_ENUM_EDGES:
+        raise TooManyEdges(
+            f"2^{num_edges} orientations exceed the enumeration guard"
+            f" (|E| <= {MAX_ENUM_EDGES})"
+        )
 
 
 def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int]:
@@ -311,11 +336,7 @@ def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int
     of the index.  Raises GraphConstructionError unless sigma maps the
     edge set onto itself, and TooManyEdges above 24 edges (three bytes).
     """
-    num_edges = len(graph.edges)
-    if num_edges > MAX_ENUM_EDGES:
-        raise TooManyEdges(
-            f"orientation indices of {num_edges} edges exceed {MAX_ENUM_EDGES} bits"
-        )
+    _check_enum(len(graph.edges))
     position = {e: k for k, e in enumerate(graph.edges)}
     flip = 0
     moved = []

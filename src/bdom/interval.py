@@ -23,15 +23,17 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import OutOfRange, TooManyEdges
+from .errors import OutOfRange
 from .graphs import (
-    MAX_ENUM_EDGES,
     Bits,
+    Digraph,
     Graph,
     Params,
+    _check_enum,
     _check_size,
     automorphism_generators,
     bits_from_index,
@@ -93,7 +95,9 @@ def orbit_minima(g: Graph) -> Sequence[int]:
     otherwise an array('I') built with a 2^|E|-byte bitmap: the first
     unmarked index of an orbit is its minimum, and marking the closure
     of that index under the generators retires the rest of the orbit.
+    Raises TooManyEdges above MAX_ENUM_EDGES, before either is built.
     """
+    _check_enum(len(g.edges))
     count = 1 << len(g.edges)
     images = [orientation_image(g, s) for s in automorphism_generators(g)]
     if not images:
@@ -118,43 +122,38 @@ def orbit_minima(g: Graph) -> Sequence[int]:
 
 
 def _scan(
-    n: int,
-    edges: tuple[tuple[int, int], ...],
-    t: int,
-    r: int,
-    indices: Sequence[int],
+    g: Graph, value: Callable[[Digraph], int], indices: Sequence[int]
 ) -> dict[int, int]:
-    """gamma for ascending orientation indices; value -> first index."""
-    g = build_graph(n, edges)
-    p = Params(t, r)
+    """The one loop over orientation indices: value of each orientation,
+    for ascending indices; value -> first index."""
     first: dict[int, int] = {}
     for index in indices:
-        value = gamma(orient_index(g, index), p).gamma
-        if value not in first:
-            first[value] = index
+        x = value(orient_index(g, index))
+        if x not in first:
+            first[x] = index
     return first
+
+
+def _gamma_value(p: Params, d: Digraph) -> int:
+    return gamma(d, p).gamma
 
 
 def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterval:
     """gamma over all 2^|E| orientations, solving one per symmetry orbit.
 
-    jobs worker processes (at most the CPU count) take strided slices of
-    the orbit minima; fewer than 4 minima per worker run serially.
+    orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges.  jobs
+    worker processes (at most the CPU count) take strided slices of the
+    orbit minima; fewer than 4 minima per worker run serially.
     """
-    num_edges = len(g.edges)
-    if num_edges > MAX_ENUM_EDGES:
-        raise TooManyEdges(
-            f"2^{num_edges} orientations exceed the enumeration guard"
-            f" (|E| <= {MAX_ENUM_EDGES})"
-        )
     minima = orbit_minima(g)
+    gamma_at_p = partial(_gamma_value, p)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(minima) < 4 * jobs:
-        first = _scan(g.n, g.edges, p.t, p.r, minima)
+        first = _scan(g, gamma_at_p, minima)
     else:
         # strided: gamma's cost drifts with the index, so every worker
         # gets a share of each stretch
-        slices = [(g.n, g.edges, p.t, p.r, minima[j::jobs]) for j in range(jobs)]
+        slices = [(g, gamma_at_p, minima[j::jobs]) for j in range(jobs)]
         with Pool(processes=jobs) as pool:
             partials = pool.starmap(_scan, slices)
         first = {}
@@ -162,16 +161,15 @@ def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterva
             for value, index in part.items():
                 if value not in first or index < first[value]:
                     first[value] = index
-    lo = min(first)
-    hi = max(first)
-    attained = frozenset(first)
+    lo, hi = min(first), max(first)
     return DominationInterval(
         d=lo,
         D=hi,
-        attained=attained,
-        full=all(v in attained for v in range(lo, hi + 1)),
+        attained=frozenset(first),
+        # the attained values are distinct integers in [lo, hi]
+        full=len(first) == hi - lo + 1,
         witnesses={
-            value: bits_from_index(index, num_edges)
+            value: bits_from_index(index, len(g.edges))
             for value, index in sorted(first.items())
         },
     )
@@ -288,11 +286,10 @@ def jump_search(
     for _ in range(trials):
         n = rng.randint(low, vertex_budget)
         g = _random_connected_graph(rng, n)
-        num_edges = len(g.edges)
         bits = _sample_orientation(rng, g)
         index = index_from_bits(bits)
         base = gamma(orient_index(g, index), p).gamma
-        for k in range(num_edges):
+        for k in range(len(g.edges)):
             value = gamma(orient_index(g, index ^ (1 << k)), p).gamma
             if abs(value - base) >= 2:
                 found.append(

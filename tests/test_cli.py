@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdom.cli
+import bdom.graphs
 import bdom.interval
 from bdom.cli import main
 from bdom.errors import GraphConstructionError, ParseError, TooLarge
@@ -201,6 +202,37 @@ def test_exit_code_parse_error(tmp_path, capsys):
     bad.write_text("not a graph\n", encoding="utf-8")
     assert main(["gamma", str(bad), "--t", "2", "--r", "1"]) == 2
     assert main(["gamma", str(tmp_path / "missing.ug"), "--t", "2", "--r", "1"]) == 2
+
+
+_NON_UTF8_COMMANDS = {
+    "gamma": ["gamma", "{src}"],
+    "oracle": ["oracle", "{src}"],
+    "interval": ["interval", "{src}"],
+    "walk": ["walk", "{src}", "--from", "0000", "--to", "1111"],
+    "torus": ["torus", "--pattern", "{src}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NON_UTF8_COMMANDS))
+def test_exit_code_non_utf8_input(command, tmp_path, capsys):
+    src = tmp_path / "bad.ug"
+    src.write_bytes(b"5 4\n0 1\n0 2\n0 3\n0 \xff4\n")
+    argv = [a.format(src=src) for a in _NON_UTF8_COMMANDS[command]]
+    rc = main(argv + ["--t", "2", "--r", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exit_code_guard_cover_pairs(monkeypatch, capsys, tmp_path):
+    g33 = tmp_path / "g33.ug"
+    g33.write_text(format_ug(grid(3, 3)), encoding="utf-8")
+    monkeypatch.setattr(bdom.graphs, "MAX_COVER_PAIRS", 20)
+    assert main(["gamma", str(g33), "--t", "5", "--r", "1"]) == 4
+    assert capsys.readouterr().err == (
+        "error: cover table of 9 vertices at t=5 exceeds the guard of 20 pairs\n"
+    )
 
 
 def test_exit_code_infeasible(capsys, s5_file):

@@ -27,7 +27,7 @@ from bdom.families import (
     zigzag,
     zigzag_ratio,
 )
-from bdom.graphs import orient
+from bdom.graphs import orient, orient_index
 from conftest import connected_labeled_graphs
 
 
@@ -277,3 +277,27 @@ def test_max_indegree_le1_counts():
 def test_max_indegree_guard():
     with pytest.raises(TooManyEdges):
         max_indegree_le1_orientation(4, 5)  # 31 edges, over the 24 guard
+
+
+def _mask_loop_max_indegree_le1(m, n):
+    """Reference: the first maximizer over every one of the 2^|E| masks."""
+    g = grid(m, n)
+    best_count, best_mask = -1, 0
+    for mask in range(1 << len(g.edges)):
+        indeg = [0] * g.n
+        for k, (u, v) in enumerate(g.edges):
+            indeg[u if (mask >> k) & 1 else v] += 1
+        count = sum(1 for x in indeg if x <= 1)
+        if count > best_count:
+            best_count, best_mask = count, mask
+    return orient_index(g, best_mask), best_count
+
+
+def test_max_indegree_le1_matches_mask_loop():
+    # every grid with at least two rows and columns and at most 17 edges,
+    # both ways round (the transpose numbers its edges differently), and
+    # the paths of up to 12 vertices
+    dims = [(m, n) for m in range(2, 7) for n in range(2, 7) if 2 * m * n - m - n <= 17]
+    dims += [(1, n) for n in range(1, 13)] + [(n, 1) for n in range(2, 13)]
+    for m, n in dims:
+        assert max_indegree_le1_orientation(m, n) == _mask_loop_max_indegree_le1(m, n)

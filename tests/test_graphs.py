@@ -3,6 +3,8 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given
+
+import bdom.graphs
 from hypothesis import strategies as st
 
 from bdom import (
@@ -16,6 +18,7 @@ from bdom import (
     LoopEdge,
     Params,
     ParseError,
+    TooLarge,
     TooManyEdges,
     automorphism_generators,
     bits_from_index,
@@ -154,6 +157,17 @@ def test_cover_matches_reference_bfs_on_random_digraphs():
                 assert sorted(cover_out[v]) == sorted(
                     (w, t - dw) for w, dw in dist.items()
                 )
+
+
+def test_cover_pairs_guard(monkeypatch):
+    # grid(3, 3) at t = 5 reaches all 81 (tower, vertex) pairs, at t = 1 only 9
+    monkeypatch.setattr(bdom.graphs, "MAX_COVER_PAIRS", 80)
+    with pytest.raises(TooLarge, match="9 vertices at t=5 exceeds the guard of 80 pairs"):
+        grid(3, 3).as_digraph().cover(5)
+    assert sum(map(len, grid(3, 3).as_digraph().cover(1))) == 9
+    # n * n within the limit: built without counting
+    monkeypatch.setattr(bdom.graphs, "MAX_COVER_PAIRS", 81)
+    assert sum(map(len, grid(3, 3).as_digraph().cover(5))) == 81
 
 
 def test_cover_is_cached_per_strength():

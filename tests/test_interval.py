@@ -7,6 +7,7 @@ from bdom import (
     InfeasibleParams,
     Params,
     TooManyEdges,
+    automorphism_generators,
     bits_from_index,
     build_graph,
     domination_interval,
@@ -173,6 +174,16 @@ def test_orbit_minima_counts():
     assert len(orbit_minima(grid(3, 3))) == 570
     spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
     assert orbit_minima(spider) == range(64)
+
+
+def test_orbit_minima_guard_without_automorphisms():
+    # a path 0..24 with a pendant 25 at vertex 2: arms of lengths 1, 2
+    # and 22 meet there, so only the identity maps the 25 edges onto
+    # themselves, and without the guard the minima would be all 2^25 indices
+    g = build_graph(26, [(k, k + 1) for k in range(24)] + [(2, 25)])
+    assert automorphism_generators(g) == []
+    with pytest.raises(TooManyEdges):
+        orbit_minima(g)
 
 
 def test_interval_matches_full_scan_on_sampled_graphs():

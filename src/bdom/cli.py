@@ -73,14 +73,14 @@ def _read_input(path: Path) -> tuple[str, str]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> Report:
-    """gamma or oracle, solved by args.solve; a .dg file is a digraph,
-    any other file a .ug graph read as its doubly directed equivalent."""
+    """gamma or oracle, run by the solver of that name; a .dg file is a
+    digraph, any other a .ug graph read as its doubly directed equivalent."""
     src = Path(args.graph)
     text, digest = _read_input(src)
     directed = src.suffix == ".dg"
     d = parse_dg(text) if directed else parse_ug(text).as_digraph()
     p = Params(args.t, args.r)
-    result = args.solve(d, p)
+    result = (gamma if args.command == "gamma" else gamma_bruteforce)(d, p)
     return (
         {"graph": digest},
         {"t": p.t, "r": p.r, "directed": directed},
@@ -231,15 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--t", type=int, required=True, help="transmission strength")
         sp.add_argument("--r", type=int, required=True, help="required reception")
 
-    sp = sub.add_parser("gamma", help="domination number of one (di)graph")
-    sp.add_argument("graph", help=".ug or .dg file")
-    add_params(sp)
-    sp.set_defaults(func=_cmd_solve, solve=gamma)
-
-    sp = sub.add_parser("oracle", help="brute-force domination number")
-    sp.add_argument("graph", help=".ug or .dg file")
-    add_params(sp)
-    sp.set_defaults(func=_cmd_solve, solve=gamma_bruteforce)
+    for name, text in (
+        ("gamma", "domination number of one (di)graph"),
+        ("oracle", "brute-force domination number"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("graph", help=".ug or .dg file")
+        add_params(sp)
+        sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("interval", help="gamma over all orientations")
     sp.add_argument("graph", help=".ug file")

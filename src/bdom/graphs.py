@@ -11,7 +11,10 @@ A Digraph holds n, its ascending out-adjacency (one arc per oriented
 edge) and its cover tables, nothing else.  Anti-parallel arc pairs are
 allowed (that is how an undirected graph is re-expressed for the
 directed machinery, and how undirected reception is computed);
-same-direction duplicates and loops are not.
+same-direction duplicates and loops are not.  Only arcs from outside
+(parse_dg, library callers) are checked; the derived digraphs of
+Graph.as_digraph, orient_index, transpose and lattice.torus_digraph are
+valid by construction and built through Digraph._trusted.
 
 Signal model: a tower at v sends strength t - d(v, w) to every vertex w
 at directed distance d(v, w) < t, including strength t to itself.  The
@@ -85,7 +88,7 @@ class Graph:
             high_mask[v] |= 1 << k
         for pairs in incident:
             pairs.sort()
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
+        self.adjacency: Adjacency = tuple(
             tuple(w for w, _ in pairs) for pairs in incident
         )
         # per vertex x: the edges where x is the high endpoint, and its
@@ -115,11 +118,14 @@ class Graph:
         return self._digraph
 
 
+Adjacency = tuple[tuple[int, ...], ...]
 CoverOut = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Digraph:
-    """Directed graph without loops or same-direction parallel arcs."""
+    """Directed graph without loops or same-direction parallel arcs.
+    The constructor checks outside arcs; as_digraph, orient_index,
+    transpose and lattice.torus_digraph build through _trusted."""
 
     __slots__ = ("n", "out_adjacency", "_cover_cache")
 
@@ -136,15 +142,11 @@ class Digraph:
             seen.add((u, v))
             out_adj[u].append(v)
         self.n = n
-        self.out_adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in out_adj
-        )
+        self.out_adjacency: Adjacency = tuple(tuple(sorted(a)) for a in out_adj)
         self._cover_cache: dict[int, CoverOut] = {}
 
     @classmethod
-    def _trusted(
-        cls, n: int, out_adjacency: tuple[tuple[int, ...], ...]
-    ) -> "Digraph":
+    def _trusted(cls, n: int, out_adjacency: Adjacency) -> "Digraph":
         """Digraph from sorted adjacency tuples known to be valid."""
         d = object.__new__(cls)
         d.n = n
@@ -192,7 +194,7 @@ class Digraph:
 MAX_COVER_PAIRS = 5_000_000
 
 
-def _build_cover(adjacency: tuple[tuple[int, ...], ...], t: int) -> CoverOut:
+def _build_cover(adjacency: Adjacency, t: int) -> CoverOut:
     n = len(adjacency)
     guarded = n * n > MAX_COVER_PAIRS
     total = 0
@@ -369,9 +371,7 @@ def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int
 # candidate permutation, kept only if it maps the edge set onto itself.
 
 
-def _refine(
-    adjacency: tuple[tuple[int, ...], ...], cells: list[list[int]]
-) -> list[list[int]]:
+def _refine(adjacency: Adjacency, cells: list[list[int]]) -> list[list[int]]:
     """Split cells by each vertex's multiset of neighbour cells until no
     cell splits.  Sub-cells are ordered by that multiset, so relabelling
     the graph and the input partition relabels the output alike."""
@@ -396,10 +396,7 @@ def _refine(
 
 
 def _individualize(
-    adjacency: tuple[tuple[int, ...], ...],
-    cells: list[list[int]],
-    j: int,
-    v: int,
+    adjacency: Adjacency, cells: list[list[int]], j: int, v: int
 ) -> list[list[int]]:
     rest = [w for w in cells[j] if w != v]
     return _refine(adjacency, cells[:j] + [[v], rest] + cells[j + 1 :])
@@ -480,7 +477,10 @@ def automorphism_generators(graph: Graph) -> list[tuple[int, ...]]:
 
 def transpose(d: Digraph) -> Digraph:
     """Reverse every arc.  An involution: transpose(transpose(d)) == d."""
-    return Digraph(d.n, ((v, u) for u, v in d.arcs))
+    in_adj: list[list[int]] = [[] for _ in range(d.n)]
+    for u, v in d.arcs:  # tails ascend, so every in-list comes out sorted
+        in_adj[v].append(u)
+    return Digraph._trusted(d.n, tuple(map(tuple, in_adj)))
 
 
 # ---- reception -------------------------------------------------------------

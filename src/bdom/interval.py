@@ -142,9 +142,11 @@ def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterva
     """gamma over all 2^|E| orientations, solving one per symmetry orbit.
 
     orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges.  jobs
-    worker processes (at most the CPU count) take strided slices of the
-    orbit minima; fewer than 4 minima per worker run serially.
+    worker processes (from 1 up to the CPU count) take strided slices of
+    the orbit minima; fewer than 4 minima per worker run serially.
     """
+    if jobs < 1:
+        raise OutOfRange(f"jobs must be >= 1, got {jobs}")
     minima = orbit_minima(g)
     gamma_at_p = partial(_gamma_value, p)
     jobs = min(jobs, os.cpu_count() or 1)
@@ -271,15 +273,17 @@ def jump_search(
 ) -> list[Jump]:
     """Seeded random hunt for single flips with |delta gamma| >= 2.
 
-    Each trial samples a connected graph on up to vertex_budget
-    vertices and an orientation, then tries every single-edge flip and
-    records the ones that move gamma by at least 2.  Both endpoint
-    values come from the solver, so each returned Jump is its own
-    certificate.  vertex_budget is at most MAX_PARSED_VERTICES.
+    Each trial samples a connected graph on up to vertex_budget vertices
+    and an orientation, then tries every single-edge flip and records the
+    ones that move gamma by at least 2.  Both endpoint values come from
+    the solver, so each returned Jump is its own certificate.  trials is
+    at least 0, and vertex_budget at most MAX_PARSED_VERTICES.
     """
     if vertex_budget < 1:
         raise OutOfRange(f"vertex budget must be >= 1, got {vertex_budget}")
     _check_size(vertex_budget, "vertex budget of", "the jump search")
+    if trials < 0:
+        raise OutOfRange(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     found: list[Jump] = []
     low = min(4, vertex_budget)

@@ -100,7 +100,9 @@ def torus_digraph(
 ) -> tuple[Digraph, frozenset[int]]:
     """Tile the pattern over an a x b torus; vertex (i, j) has id i*b + j.
 
-    The torus may have at most MAX_PARSED_VERTICES cells.
+    The torus may have at most MAX_PARSED_VERTICES cells.  Its arcs skip
+    Digraph's checks: with both sides at least 3, the 2ab east and north
+    edges are distinct non-loops, and each yields exactly one arc.
     """
     if a < 3 or b < 3:
         raise DegenerateTorus(f"torus must be at least 3x3, got {a}x{b}")
@@ -109,7 +111,7 @@ def torus_digraph(
             f"{a}x{b} is not a multiple of the {pat.pa}x{pat.pb} period"
         )
     _check_size(a * b, f"{a}x{b} torus has", "building")
-    arcs = []
+    out_adj: list[list[int]] = [[] for _ in range(a * b)]
     towers = set()
     for i in range(a):
         pi = i % pat.pa
@@ -118,11 +120,13 @@ def torus_digraph(
             here = i * b + j
             east = i * b + (j + 1) % b
             north = ((i + 1) % a) * b + j
-            arcs.append((east, here) if pat.east_bits[pi][pj] else (here, east))
-            arcs.append((north, here) if pat.north_bits[pi][pj] else (here, north))
+            for there, bits in ((east, pat.east_bits), (north, pat.north_bits)):
+                tail, head = (there, here) if bits[pi][pj] else (here, there)
+                out_adj[tail].append(head)
             if pat.towers[pi][pj]:
                 towers.add(here)
-    return Digraph(a * b, arcs), frozenset(towers)
+    adjacency = tuple(tuple(sorted(heads)) for heads in out_adj)
+    return Digraph._trusted(a * b, adjacency), frozenset(towers)
 
 
 def check(

@@ -267,6 +267,23 @@ def test_exit_code_guard_jumps_budget(capsys):
     assert err.startswith("error: vertex budget") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["jumps", "--trials", "-3", "--seed", "1"], "trials must be >= 0, got -3"),
+        (["interval", "{graph}", "--jobs", "-2"], "jobs must be >= 1, got -2"),
+        (["interval", "{graph}", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    ],
+    ids=["jumps-trials", "interval-jobs", "interval-jobs-zero"],
+)
+def test_exit_code_guard_negative_counts(argv, message, capsys, s5_file):
+    argv = [a.format(graph=s5_file) for a in argv]
+    rc = main(argv + ["--t", "2", "--r", "1"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exit_code_guard_torus_reps(capsys):
     # 1000 periods of diag13 a side would be a 3000x3000 torus
     rc = main(["torus", "--pattern", "diag13", "--t", "2", "--r", "2", "--reps", "1000"])

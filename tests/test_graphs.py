@@ -388,6 +388,7 @@ def test_directed_reception_bounded_by_undirected_exhaustive():
 @given(small_digraphs)
 def test_transpose_swaps_distances(d):
     dt = transpose(d)
+    assert dt == Digraph(d.n, [(v, u) for u, v in d.arcs])
     horizon = d.n + 1
     fwd = cover_distances(d, horizon)
     bwd = cover_distances(dt, horizon)

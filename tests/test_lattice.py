@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bdom import Params, TooLarge, is_dominating
+from bdom import Digraph, Params, TooLarge, is_dominating
 from bdom.errors import DegenerateTorus, NotAMultiple, ParseError
 from bdom.lattice import (
     BUILTIN_PATTERNS,
@@ -169,6 +169,55 @@ def test_check_matches_reference_on_random_patterns():
         a = pa * rng.randint(-(-3 // pa), 12 // pa)
         b = pb * rng.randint(-(-3 // pb), 12 // pb)
         assert_check_matches_reference(rng, pat, a, b)
+
+
+def checked_torus(pat, a, b):
+    """The tiled torus built from its arc list through the checked
+    Digraph constructor: the reference for torus_digraph."""
+    arcs = []
+    towers = set()
+    for i in range(a):
+        pi = i % pat.pa
+        for j in range(b):
+            pj = j % pat.pb
+            here = i * b + j
+            east = i * b + (j + 1) % b
+            north = ((i + 1) % a) * b + j
+            arcs.append((east, here) if pat.east_bits[pi][pj] else (here, east))
+            arcs.append((north, here) if pat.north_bits[pi][pj] else (here, north))
+            if pat.towers[pi][pj]:
+                towers.add(here)
+    return Digraph(a * b, arcs), frozenset(towers)
+
+
+def uniform_pattern(rng, pa, pb, east_bit, north_bit):
+    """Random towers; every east bit is east_bit, every north bit north_bit."""
+    return TorusPattern(
+        towers=tuple(tuple(rng.random() < 0.4 for _ in range(pb)) for _ in range(pa)),
+        east_bits=tuple((east_bit,) * pb for _ in range(pa)),
+        north_bits=tuple((north_bit,) * pb for _ in range(pa)),
+    )
+
+
+def test_torus_digraph_matches_checked_arc_list():
+    rng = random.Random(2021)
+    # (pa, pb, a, b): the 3x3 and 3xk tori first, where wrap-around
+    # arcs meet, then random periods 1-6 on sides 3-18
+    cases = [(1, 1, 3, 3), (3, 3, 3, 3), (1, 4, 3, 4), (3, 5, 3, 5), (3, 6, 3, 18),
+             (1, 1, 5, 3), (6, 3, 18, 3), (6, 6, 18, 18)]
+    for _ in range(120):
+        pa, pb = rng.randint(1, 6), rng.randint(1, 6)
+        a = rng.choice([k for k in range(3, 19) if k % pa == 0])
+        b = rng.choice([k for k in range(3, 19) if k % pb == 0])
+        cases.append((pa, pb, a, b))
+    for pa, pb, a, b in cases:
+        pats = [random_pattern(rng, pa, pb)]
+        pats += [uniform_pattern(rng, pa, pb, e, n) for e in (0, 1) for n in (0, 1)]
+        for pat in pats:
+            d, towers = torus_digraph(pat, a, b)
+            ref, ref_towers = checked_torus(pat, a, b)
+            assert d.out_adjacency == ref.out_adjacency, (a, b, format_pat(pat))
+            assert towers == ref_towers
 
 
 def test_scale_invariance_of_verdicts():

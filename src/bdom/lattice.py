@@ -35,7 +35,6 @@ from .graphs import (
     _check_size,
     _header_ints,
     _payload_lines,
-    reception,
 )
 from .interval import domination_interval
 from .solver import gamma, gamma_undirected
@@ -64,10 +63,9 @@ class TorusPattern:
         for grid_field in (self.towers, self.east_bits, self.north_bits):
             if len(grid_field) != pa or any(len(row) != pb for row in grid_field):
                 raise ParseError("pattern fields must share the same pa x pb shape")
-        if any(b not in (0, 1) for row in self.east_bits for b in row):
-            raise ParseError("east bits must be 0/1")
-        if any(b not in (0, 1) for row in self.north_bits for b in row):
-            raise ParseError("north bits must be 0/1")
+        for side, bits in (("east", self.east_bits), ("north", self.north_bits)):
+            if any(b not in (0, 1) for row in bits for b in row):
+                raise ParseError(f"{side} bits must be 0/1")
 
     @property
     def pa(self) -> int:
@@ -142,36 +140,35 @@ def check(
     every non-tower receives exactly r.  strict_efficient: the
     efficiency definition holds verbatim at every vertex, with the
     second clause evaluated per the chosen interpretation.  violations
-    lists the cells breaking strict efficiency, with their receptions.
+    lists the cells breaking strict efficiency, row-major, with their
+    receptions.  One walk over each tower's Digraph.cover(t) row and
+    one pass over the cells decide all three.
     """
     if clause not in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
         raise ValueError(f"unknown clause interpretation {clause!r}")
     d, towers = torus_digraph(pat, a, b)
-    rec = reception(d, towers, p.t)
-    dominating = all(x >= p.r for x in rec)
-    nontower_exact = all(
-        rec[v] == p.r for v in range(d.n) if v not in towers
-    )
-    # per cell: how many towers reach it with signal c > r (distance
-    # below t - r), and that signal when there is exactly one
+    # second clause: t - d(v, u) = c, or verbatim r - d(v, u) = c - t + r
+    shift = 0 if clause == CLAUSE_SELF_CONSISTENT else p.r - p.t
+    # per cell: its reception; how many towers reach it with signal
+    # c > r (distance below t - r); the reception strict efficiency
+    # wants there: r, or with one such tower its signal plus shift
+    rec = [0] * d.n
     close = [0] * d.n
-    signal = [0] * d.n
+    want = [p.r] * d.n
     cover_out = d.cover(p.t)
     for v in towers:
         for w, c in cover_out[v]:
+            rec[w] += c
             if c > p.r:
                 close[w] += 1
-                signal[w] = c
-    # second clause: t - d(v, u) = c, or verbatim r - d(v, u) = c - t + r
-    shift = 0 if clause == CLAUSE_SELF_CONSISTENT else p.r - p.t
+                want[w] = c + shift
+    dominating = nontower_exact = True
     violations = []
-    for u in range(d.n):
-        if close[u] == 0:
-            ok = rec[u] == p.r
-        else:
-            ok = close[u] == 1 and rec[u] == signal[u] + shift
-        if not ok:
-            violations.append(((u // b, u % b), rec[u]))
+    for u, x in enumerate(rec):
+        dominating &= x >= p.r
+        nontower_exact &= x == p.r or u in towers
+        if close[u] > 1 or x != want[u]:
+            violations.append(((u // b, u % b), x))
     return EfficiencyReport(
         dominating=dominating,
         density=density(pat),

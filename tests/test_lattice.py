@@ -115,13 +115,16 @@ def test_clauses_agree_when_t_equals_r():
     assert check(diag, Params(2, 2), 6, 6, clause=CLAUSE_SELF_CONSISTENT).strict_efficient
 
 
-def reference_violations(pat, p, a, b, clause):
-    """Strict-efficiency violations by the definition, tower by tower."""
+def reference_report(pat, p, a, b, clause):
+    """Receptions, towers and strict-efficiency violations by the
+    definition, tower by tower."""
     d, towers = torus_digraph(pat, a, b)
     dist = {v: reference_bfs(d.out_adjacency, v, p.t) for v in towers}
+    receptions = []
     out = []
     for u in range(d.n):
         rec = sum(p.t - dist[v][u] for v in towers if u in dist[v])
+        receptions.append(rec)
         close = [dist[v][u] for v in sorted(towers) if dist[v].get(u, p.t) < p.t - p.r]
         if not close:
             ok = rec == p.r
@@ -131,7 +134,7 @@ def reference_violations(pat, p, a, b, clause):
             ok = False
         if not ok:
             out.append(((u // b, u % b), rec))
-    return tuple(out)
+    return receptions, towers, tuple(out)
 
 
 def random_pattern(rng, pa, pb):
@@ -145,30 +148,49 @@ def random_pattern(rng, pa, pb):
     )
 
 
-def assert_check_matches_reference(rng, pat, a, b):
-    t = rng.randint(1, 5)
-    p = Params(t, rng.randint(1, t))
+def assert_check_matches_reference(pat, p, a, b):
     for clause in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
         report = check(pat, p, a, b, clause=clause)
-        expected = reference_violations(pat, p, a, b, clause)
+        receptions, towers, expected = reference_report(pat, p, a, b, clause)
         assert report.violations == expected
         assert report.strict_efficient == (not expected)
+        assert report.dominating == all(x >= p.r for x in receptions)
+        assert report.nontower_exact == all(
+            x == p.r for u, x in enumerate(receptions) if u not in towers
+        )
+
+
+def random_params(rng):
+    t = rng.randint(1, 5)
+    return Params(t, rng.randint(1, t))
 
 
 def test_check_matches_reference_on_random_patterns():
     rng = random.Random(1729)
+    cases = []
     for _ in range(60):
         pa, pb = rng.randint(1, 3), rng.randint(1, 3)
         pat = random_pattern(rng, pa, pb)
         a, b = pa * (-(-3 // pa) + rng.randint(0, 1)), pb * -(-3 // pb)
-        assert_check_matches_reference(rng, pat, a, b)
+        cases.append((pat, random_params(rng), a, b))
     # larger tori, sides up to 12
     for _ in range(20):
         pa, pb = rng.randint(1, 4), rng.randint(1, 4)
         pat = random_pattern(rng, pa, pb)
         a = pa * rng.randint(-(-3 // pa), 12 // pa)
         b = pb * rng.randint(-(-3 // pb), 12 // pb)
-        assert_check_matches_reference(rng, pat, a, b)
+        cases.append((pat, random_params(rng), a, b))
+    # tori where the depth-(t-1) in-balls wrap around: every period of
+    # 1-3 cells a side and every (t, r) with t <= 5
+    for a, b in ((3, 3), (3, 4), (4, 3), (3, 6)):
+        for pa in (k for k in (1, 2, 3) if a % k == 0):
+            for pb in (k for k in (1, 2, 3) if b % k == 0):
+                pat = random_pattern(rng, pa, pb)
+                for t in range(1, 6):
+                    for r in range(1, t + 1):
+                        cases.append((pat, Params(t, r), a, b))
+    for pat, p, a, b in cases:
+        assert_check_matches_reference(pat, p, a, b)
 
 
 def checked_torus(pat, a, b):

@@ -4,28 +4,40 @@ gamma() runs a depth-first branch and bound over tower sets:
 
 * state is the per-vertex deficit (r minus current reception, floored
   at zero) plus the set of towers placed so far;
+* the search is one loop over an explicit stack, one frame per placed
+  tower on the current path: the parent's size, chosen and banned
+  masks, its branch bits still to try, the placed tower's bit and the
+  deficit it cleared.  Backtracking pops a frame and undoes its tower,
+  so the depth is bounded by n, not by Python's recursion limit;
 * the branch vertex is the deficient vertex with the fewest remaining
   candidate dominators, ties to the lowest id.  Its candidates are the
   set bits of in_mask[w] & ~blocked: in_mask[w] holds the towers whose
-  signal reaches w, built from cover_out once per call, and blocked the
-  towers placed or banned on this branch.  A deficient vertex with no
-  candidate left ends the branch;
+  signal reaches w, built from cover_out once per call (unless the
+  static bound below cuts the root), and blocked the towers placed or
+  banned on this branch.  A deficient vertex with no candidate left
+  ends the branch;
 * candidates are tried in ascending vertex id, and each candidate is
   banned for the later siblings, so the branches partition the
   solution space;
 * a branch is cut when its size plus a lower bound k on the towers
   still needed reaches the incumbent, which is seeded by the greedy set
-  of _greedy().  The cheap first k is ceil(total deficit / static_max),
-  static_max the largest single-tower contribution on an empty
-  reception.  When that does not cut, each unblocked tower's
-  deficit-clamped gain is computed, and k is the fewest of the largest
-  gains that sum to at least total (a cut too when all of them fall
-  short).  The deficit a set of towers clears is at most the sum of
-  their separately clamped gains, so the bound is valid, and it is
-  never weaker than ceil(total / best gain).  A valid bound never cuts
-  the subtree holding the first optimum in DFS order while the
-  incumbent is worse, so the witness does not depend on the bound's
-  strength.
+  of _greedy().  Three bounds are tried in turn, cheapest first:
+  - static: ceil(total deficit / static_max), static_max the largest
+    single-tower contribution on an empty reception;
+  - packing: the scan that picks the branch vertex walks every
+    deficient vertex in id order and counts those whose candidate
+    sets are disjoint from the union of the counted ones.  Each of
+    them needs a tower of its own.  A vertex with deficit dw needs
+    ceil(dw / t) towers, and dw <= r <= t, so each counts 1;
+  - k-largest gains: each unblocked tower's deficit-clamped gain is
+    computed, and k is the fewest of the largest gains that sum to at
+    least total (a cut too when all of them fall short).  The deficit
+    a set of towers clears is at most the sum of their separately
+    clamped gains, so the bound is valid, and it is never weaker than
+    ceil(total / best gain).
+  A valid bound never cuts the subtree holding the first optimum in
+  DFS order while the incumbent is worse, so the witness does not
+  depend on the bounds' strength.
 
 Each call builds the digraph's cover table for t once (Digraph.cover,
 cached on the digraph) and both the greedy seed and the search read it.
@@ -146,66 +158,76 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
     # static_max: constant denominator for the cheap first-pass bound
     best_mask, static_max = _greedy(cover_out, r)
     best_size = best_mask.bit_count()
-    # in_mask[w]: the towers whose signal reaches w
-    in_mask = [0] * n
-    for v, pairs in enumerate(cover_out):
-        bit = 1 << v
-        for w, _ in pairs:
-            in_mask[w] |= bit
-    rec = [0] * n
     total = r * n
+    # in_mask[w]: the towers whose signal reaches w; the root's static
+    # cut, which ends the search at one node, needs none
+    in_mask = [0] * n
+    if -(-total // static_max) < best_size:
+        for v, pairs in enumerate(cover_out):
+            bit = 1 << v
+            for w, _ in pairs:
+                in_mask[w] |= bit
+    rec = [0] * n
     nodes = 0
-
-    def dfs(size: int, chosen: int, banned: int) -> None:
-        nonlocal best_size, best_mask, nodes, total
+    # (size, chosen, banned, branch bits left, placed tower bit, delta)
+    # of each node on the current path, as in the module docstring
+    stack: list[tuple[int, int, int, int, int, int]] = []
+    size = chosen = banned = 0
+    while True:
         nodes += 1
+        branch = 0
         if total == 0:
             if size < best_size:
                 best_size = size
                 best_mask = chosen
-            return
-        lb = -(-total // static_max)
-        if size + lb >= best_size:
-            return
-        blocked = chosen | banned
-        # k-largest-gains bound: size + k >= best_size, for the fewest k
-        # towers whose largest gains sum to total, holds exactly when the
-        # room = best_size - size - 1 largest gains fall short of total,
-        # as all of them do when no k exists
-        gains = _gains(cover_out, rec, r, blocked)
-        gains.sort(reverse=True)
-        if sum(gains[: best_size - size - 1]) < total:
-            return
-        free = ~blocked
-        branch = 0
-        fewest = n + 1
-        for w in range(n):
-            if rec[w] >= r:
-                continue
-            avail = in_mask[w] & free
-            if not avail:
-                return
-            count = avail.bit_count()
-            if count < fewest:
-                branch, fewest = avail, count
-                if count == 1:
+        elif size + -(-total // static_max) < best_size:
+            blocked = chosen | banned
+            free = ~blocked
+            fewest = n + 1
+            used = pack = 0
+            for rw, mask in zip(rec, in_mask):
+                if rw >= r:
+                    continue
+                avail = mask & free
+                if not avail:
+                    branch = 0
                     break
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            pairs = cover_out[low.bit_length() - 1]
-            delta = _place(pairs, rec, r)
-            total -= delta
-            dfs(size + 1, chosen | low, banned)
-            for w, c in pairs:
+                # packing: deficient vertices with pairwise disjoint
+                # candidates each need a tower of their own
+                if not avail & used:
+                    used |= avail
+                    pack += 1
+                count = avail.bit_count()
+                if count < fewest:
+                    branch, fewest = avail, count
+            if branch and size + pack < best_size:
+                # k-largest-gains bound: size + k >= best_size, for the
+                # fewest k towers whose largest gains sum to total,
+                # holds exactly when the room = best_size - size - 1
+                # largest gains fall short of total, as all of them do
+                # when no k exists
+                gains = _gains(cover_out, rec, r, blocked)
+                gains.sort(reverse=True)
+                if sum(gains[: best_size - size - 1]) < total:
+                    branch = 0
+            else:
+                branch = 0
+        # backtrack to the deepest node with a branch bit left, undoing
+        # the towers placed below it
+        while not branch and stack:
+            size, chosen, banned, branch, low, delta = stack.pop()
+            for w, c in cover_out[low.bit_length() - 1]:
                 rec[w] -= c
             total += delta
             banned |= low
-
-    dfs(0, 0, 0)
-    # dfs refers to itself; unbinding it frees the search state now
-    # instead of at the next cyclic garbage collection
-    del dfs
+        if not branch:
+            break
+        low = branch & -branch
+        delta = _place(cover_out[low.bit_length() - 1], rec, r)
+        total -= delta
+        stack.append((size, chosen, banned, branch ^ low, low, delta))
+        size += 1
+        chosen |= low
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return GammaResult(best_size, witness, nodes)
 

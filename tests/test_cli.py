@@ -82,6 +82,17 @@ def test_gamma_single_vertex(tmp_path, capsys):
     assert report["results"]["gamma"] == 1
 
 
+def test_gamma_on_600_disjoint_paths(tmp_path, capsys):
+    # each path needs 2 towers at (2,1): 1,200 towers, more than a
+    # search recursing once per tower could place under the default
+    # recursion limit
+    edges = [(4 * i + j, 4 * i + j + 1) for i in range(600) for j in range(3)]
+    ug = tmp_path / "paths.ug"
+    ug.write_text(format_ug(bdom.graphs.build_graph(2400, edges)), encoding="utf-8")
+    report = run_json(capsys, "gamma", str(ug), "--t", "2", "--r", "1")
+    assert report["results"]["gamma"] == 1200
+
+
 def test_oracle_agrees_with_gamma(capsys, s5_file):
     # every leaf is forced (it can hear at most 1 from the center), and
     # four leaf towers already feed the center

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +69,7 @@ def test_search_size_and_witness_pinned():
         8, [0, 3, 5, 6, 9, 10, 12, 15], 72)
     res = gamma(orient(g, bits_from_index(11766603, len(g.edges))), Params(2, 2))
     assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
-        10, [0, 1, 2, 5, 6, 7, 9, 12, 13, 15], 10)
+        10, [0, 1, 2, 5, 6, 7, 9, 12, 13, 15], 6)
     rg = build_graph(18, [
         (0, 1), (0, 3), (0, 7), (1, 2), (1, 5), (1, 9), (1, 13), (1, 16),
         (1, 17), (2, 6), (2, 8), (2, 14), (2, 15), (3, 4), (3, 11), (4, 7),
@@ -187,6 +188,154 @@ def test_gamma_matches_reference_branch_and_bound():
     assert nodes < ref_nodes
 
 
+def recursive_gamma(d, p):
+    """The branch and bound as it was before the explicit stack and the
+    packing bound: a recursive dfs closure, the static and k-largest
+    gains cuts, and a branch-vertex scan that stops at one candidate.
+    Returns (gamma, witness, nodes)."""
+    n, r = d.n, p.r
+    if n == 0:
+        return 0, frozenset(), 0
+    cover_out = d.cover(p.t)
+
+    def gains_of(rec, blocked):
+        return [0 if blocked >> v & 1 else
+                sum(min(c, r - rec[w]) for w, c in pairs if rec[w] < r)
+                for v, pairs in enumerate(cover_out)]
+
+    def place(pairs, rec):
+        cleared = sum(min(c, r - rec[w]) for w, c in pairs if rec[w] < r)
+        for w, c in pairs:
+            rec[w] += c
+        return cleared
+
+    rec = [0] * n
+    total = r * n
+    chosen = static_max = 0
+    while total > 0:
+        gains = gains_of(rec, chosen)
+        gain = max(gains)
+        v = gains.index(gain)
+        static_max = static_max or gain
+        chosen |= 1 << v
+        total -= place(cover_out[v], rec)
+    best_mask, best_size = chosen, chosen.bit_count()
+    in_mask = [0] * n
+    for v, pairs in enumerate(cover_out):
+        for w, _ in pairs:
+            in_mask[w] |= 1 << v
+    rec = [0] * n
+    total = r * n
+    nodes = 0
+
+    def dfs(size, chosen, banned):
+        nonlocal best_size, best_mask, nodes, total
+        nodes += 1
+        if total == 0:
+            if size < best_size:
+                best_size, best_mask = size, chosen
+            return
+        if size + -(-total // static_max) >= best_size:
+            return
+        blocked = chosen | banned
+        gains = sorted(gains_of(rec, blocked), reverse=True)
+        if sum(gains[: best_size - size - 1]) < total:
+            return
+        branch, fewest = 0, n + 1
+        for w in range(n):
+            if rec[w] >= r:
+                continue
+            avail = in_mask[w] & ~blocked
+            if not avail:
+                return
+            if avail.bit_count() < fewest:
+                branch, fewest = avail, avail.bit_count()
+                if fewest == 1:
+                    break
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            pairs = cover_out[low.bit_length() - 1]
+            delta = place(pairs, rec)
+            total -= delta
+            dfs(size + 1, chosen | low, banned)
+            for w, c in pairs:
+                rec[w] -= c
+            total += delta
+            banned |= low
+
+    dfs(0, 0, 0)
+    witness = frozenset(v for v in range(n) if best_mask >> v & 1)
+    return best_size, witness, nodes
+
+
+def test_gamma_matches_recursive_search():
+    # the explicit stack visits the recursive search's nodes in its
+    # order, and the packing bound only cuts: same gamma and witness,
+    # never more nodes, and fewer in total
+    rng = random.Random(7)
+    cases = []
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        arcs = [(u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < density]
+        cases.append(Digraph(n, arcs))
+    for g in (grid(3, 4), grid(4, 4)):
+        m = len(g.edges)
+        cases += [orient(g, bits_from_index(rng.getrandbits(m), m)) for _ in range(4)]
+        cases.append(g.as_digraph())
+    nodes = old_nodes = 0
+    for d in cases:
+        for p in PARAMS6:
+            res = gamma(d, p)
+            old_gamma, old_witness, old_count = recursive_gamma(d, p)
+            assert (res.gamma, res.witness) == (old_gamma, old_witness), (d.arcs, p)
+            assert res.nodes_explored <= old_count, (d.arcs, p)
+            nodes += res.nodes_explored
+            old_nodes += old_count
+    assert nodes < old_nodes
+
+
+def disjoint_paths(k, start=0):
+    """Edges of k disjoint 4-vertex paths on the ids from start on."""
+    return [(start + 4 * i + j, start + 4 * i + j + 1) for i in range(k) for j in range(3)]
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+# at (2,1) the greedy takes 4 towers here, one more than gamma = 3
+NON_GREEDY9 = [(0, 2), (0, 3), (0, 8), (1, 2), (1, 5), (1, 6), (2, 4), (2, 6),
+               (3, 6), (3, 7), (4, 5)]
+
+
+def test_search_deeper_than_recursion_limit():
+    # the greedy's 204 towers are beaten only by a leaf 203 towers deep
+    g = build_graph(409, NON_GREEDY9 + disjoint_paths(100, 9))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        res = gamma_undirected(g, Params(2, 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    paths = {9 + 4 * i + k for i in range(100) for k in (0, 2)}
+    assert (res.gamma, res.witness, res.nodes_explored) == (
+        203, frozenset({0, 3, 5}) | paths, 408)
+
+
+def test_disjoint_paths_solved_at_the_root():
+    # the path ends' candidate sets are pairwise disjoint, so packing
+    # meets the greedy's 2 towers per path before any branch
+    res = gamma_undirected(build_graph(40, disjoint_paths(10)), Params(2, 1))
+    assert (res.gamma, res.nodes_explored) == (20, 1)
+
+
 def test_bruteforce_single_arc():
     d = Digraph(2, [(0, 1)])
     res = gamma_bruteforce(d, Params(2, 1))
@@ -288,3 +437,21 @@ def test_orientation_never_beats_undirected_all_small_graphs():
             base = gamma_undirected(g, p).gamma
             for i in range(1 << m):
                 assert gamma(orient(g, bits_from_index(i, m)), p).gamma >= base
+
+
+def disjoint_union(parts):
+    arcs, n = [], 0
+    for d in parts:
+        arcs += [(u + n, v + n) for u, v in d.arcs]
+        n += d.n
+    return Digraph(n, arcs)
+
+
+@settings(max_examples=40)
+@given(st.lists(small_digraphs, min_size=2, max_size=3))
+def test_gamma_adds_over_disjoint_unions(parts):
+    union = disjoint_union(parts)
+    for p in PARAMS6:
+        res = gamma(union, p)
+        assert res.gamma == sum(gamma(d, p).gamma for d in parts)
+        assert is_dominating(union, res.witness, p)

@@ -130,6 +130,8 @@ class Digraph:
     __slots__ = ("n", "out_adjacency", "_cover_cache")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise InvalidVertex(f"vertex count must be nonnegative, got {n}")
         out_adj: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for u, v in arcs:

@@ -60,6 +60,8 @@ class TorusPattern:
         if pa == 0:
             raise ParseError("pattern needs at least one row")
         pb = len(self.towers[0])
+        if pb == 0:
+            raise ParseError("pattern needs at least one column")
         for grid_field in (self.towers, self.east_bits, self.north_bits):
             if len(grid_field) != pa or any(len(row) != pb for row in grid_field):
                 raise ParseError("pattern fields must share the same pa x pb shape")

@@ -19,22 +19,16 @@ gamma() runs a depth-first branch and bound over tower sets:
 * candidates are tried in ascending vertex id, and each candidate is
   banned for the later siblings, so the branches partition the
   solution space;
-* a branch is cut when its size plus a lower bound k on the towers
+* a branch is cut when its size plus a lower bound on the towers
   still needed reaches the incumbent, which is seeded by the greedy set
-  of _greedy().  Three bounds are tried in turn, cheapest first:
+  of _greedy().  Two bounds are tried in turn, cheapest first:
   - static: ceil(total deficit / static_max), static_max the largest
     single-tower contribution on an empty reception;
   - packing: the scan that picks the branch vertex walks every
     deficient vertex in id order and counts those whose candidate
     sets are disjoint from the union of the counted ones.  Each of
     them needs a tower of its own.  A vertex with deficit dw needs
-    ceil(dw / t) towers, and dw <= r <= t, so each counts 1;
-  - k-largest gains: each unblocked tower's deficit-clamped gain is
-    computed, and k is the fewest of the largest gains that sum to at
-    least total (a cut too when all of them fall short).  The deficit
-    a set of towers clears is at most the sum of their separately
-    clamped gains, so the bound is valid, and it is never weaker than
-    ceil(total / best gain).
+    ceil(dw / t) towers, and dw <= r <= t, so each counts 1.
   A valid bound never cuts the subtree holding the first optimum in
   DFS order while the incumbent is worse, so the witness does not
   depend on the bounds' strength.
@@ -42,8 +36,7 @@ gamma() runs a depth-first branch and bound over tower sets:
 Each call builds the digraph's cover table for t once (Digraph.cover,
 cached on the digraph) and both the greedy seed and the search read it.
 The deficit-clamped contribution of a tower is computed in two places
-only: _gains (greedy rounds and the bound) and _place (placing a
-tower).
+only: _gains (the greedy's rounds) and _place (placing a tower).
 
 Params keeps r <= t, the model's domain: in it every vertex gives
 itself t >= r, so the whole vertex set always dominates and gamma is
@@ -181,8 +174,7 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
                 best_size = size
                 best_mask = chosen
         elif size + -(-total // static_max) < best_size:
-            blocked = chosen | banned
-            free = ~blocked
+            free = ~(chosen | banned)
             fewest = n + 1
             used = pack = 0
             for rw, mask in zip(rec, in_mask):
@@ -200,17 +192,7 @@ def gamma(d: Digraph, p: Params) -> GammaResult:
                 count = avail.bit_count()
                 if count < fewest:
                     branch, fewest = avail, count
-            if branch and size + pack < best_size:
-                # k-largest-gains bound: size + k >= best_size, for the
-                # fewest k towers whose largest gains sum to total,
-                # holds exactly when the room = best_size - size - 1
-                # largest gains fall short of total, as all of them do
-                # when no k exists
-                gains = _gains(cover_out, rec, r, blocked)
-                gains.sort(reverse=True)
-                if sum(gains[: best_size - size - 1]) < total:
-                    branch = 0
-            else:
+            if size + pack >= best_size:
                 branch = 0
         # backtrack to the deepest node with a branch bit left, undoing
         # the towers placed below it

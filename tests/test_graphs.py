@@ -70,6 +70,8 @@ def test_digraph_allows_antiparallel_but_not_parallel():
     assert d.out_adjacency == ((1,), (0,))
     with pytest.raises(DuplicateEdge):
         Digraph(2, [(0, 1), (0, 1)])
+    with pytest.raises(InvalidVertex, match="vertex count must be nonnegative"):
+        Digraph(-1, [])
 
 
 # ---- orientation ------------------------------------------------------------

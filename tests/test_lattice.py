@@ -297,6 +297,12 @@ def test_parse_pat_rejects_malformed(text):
         parse_pat(text)
 
 
+def test_pattern_rejects_empty_rows():
+    # density and check would divide by pa * pb and take cells mod pb
+    with pytest.raises(ParseError, match="at least one column"):
+        TorusPattern(((),), ((),), ((),))
+
+
 def test_embedded_grid_claim_3x3_records_inconsistency():
     a = embedded_grid_claim(3, 3)
     assert (a.claimed_low, a.claimed_high) == (3, 6)

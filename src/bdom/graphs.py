@@ -57,7 +57,8 @@ class Params:
     r <= t is the model's domain: every vertex then gives itself t >= r,
     so the whole vertex set always dominates.  This is the one place it
     is checked: a value below 1 raises InvalidParams, r > t raises
-    InfeasibleParams.
+    InfeasibleParams.  (Digraph.cover, which takes t alone, also rejects
+    t below 1.)
     """
 
     t: int
@@ -180,11 +181,13 @@ class Digraph:
 
         cover_out[v] lists (w, t - d(v, w)) for every w with d(v, w) < t,
         in breadth-first order starting with (v, t), from one truncated
-        breadth-first search per source.  Raises TooLarge past
-        MAX_COVER_PAIRS pairs.
+        breadth-first search per source.  Raises InvalidParams for t
+        below 1 and TooLarge past MAX_COVER_PAIRS pairs.
         """
         cover_out = self._cover_cache.get(t)
         if cover_out is None:
+            if t < 1:
+                raise InvalidParams(f"t must be positive, got {t}")
             cover_out = self._cover_cache[t] = _build_cover(
                 self.out_adjacency, t
             )
@@ -337,10 +340,13 @@ def orientation_image(graph: Graph, sigma: Sequence[int]) -> Callable[[int], int
     pi(k), and the arc u -> v to sigma u -> sigma v, so bit pi(k) of the
     image is bit k of the index, flipped iff sigma u > sigma v.  The map
     is affine over GF(2) and is evaluated with one lookup table per byte
-    of the index.  Raises GraphConstructionError unless sigma maps the
-    edge set onto itself, and TooManyEdges above 24 edges (three bytes).
+    of the index.  Raises GraphConstructionError unless sigma is a
+    permutation of the vertices that maps the edge set into (so onto)
+    itself, and TooManyEdges above 24 edges (three bytes).
     """
     _check_enum(len(graph.edges))
+    if sorted(sigma) != list(range(graph.n)):
+        raise GraphConstructionError(f"{tuple(sigma)} is not a permutation")
     position = {e: k for k, e in enumerate(graph.edges)}
     flip = 0
     moved = []

@@ -147,7 +147,7 @@ def check(
     one pass over the cells decide all three.
     """
     if clause not in (CLAUSE_SELF_CONSISTENT, CLAUSE_LITERAL):
-        raise ValueError(f"unknown clause interpretation {clause!r}")
+        raise ParseError(f"unknown clause interpretation {clause!r}")
     d, towers = torus_digraph(pat, a, b)
     # second clause: t - d(v, u) = c, or verbatim r - d(v, u) = c - t + r
     shift = 0 if clause == CLAUSE_SELF_CONSISTENT else p.r - p.t

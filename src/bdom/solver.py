@@ -36,7 +36,7 @@ gamma() runs a depth-first branch and bound over tower sets:
 Each call builds the digraph's cover table for t once (Digraph.cover,
 cached on the digraph) and both the greedy seed and the search read it.
 The deficit-clamped contribution of a tower is computed in two places
-only: _gains (the greedy's rounds) and _place (placing a tower).
+only: _greedy (each round's pass) and _place (placing a tower).
 
 Params keeps r <= t, the model's domain: in it every vertex gives
 itself t >= r, so the whole vertex set always dominates and gamma is
@@ -80,23 +80,6 @@ def _cover_tables(d: Digraph, t: int) -> CoverOut:
 Pairs = Sequence[tuple[int, int]]
 
 
-def _gains(
-    cover_out: Sequence[Pairs], rec: list[int], r: int, blocked: int
-) -> list[int]:
-    """The remaining deficit each tower would clear on its own, by
-    vertex id; 0 for the towers in the mask blocked."""
-    gains = []
-    for v, pairs in enumerate(cover_out):
-        gain = 0
-        if not blocked >> v & 1:
-            for w, c in pairs:
-                dw = r - rec[w]
-                if dw > 0:
-                    gain += c if c < dw else dw
-        gains.append(gain)
-    return gains
-
-
 def _place(pairs: Pairs, rec: list[int], r: int) -> int:
     """Add one tower's signal, its cover_out pairs, to rec; returns the
     deficit it clears."""
@@ -123,11 +106,19 @@ def _greedy(cover_out: Sequence[Pairs], r: int) -> tuple[int, int]:
     chosen = 0
     first_best = 0
     while total > 0:
-        gains = _gains(cover_out, rec, r, chosen)
-        gain = max(gains)
-        v = gains.index(gain)
+        best = v = 0
+        for u, pairs in enumerate(cover_out):
+            if chosen >> u & 1:
+                continue
+            gain = 0
+            for w, c in pairs:
+                dw = r - rec[w]
+                if dw > 0:
+                    gain += c if c < dw else dw
+            if gain > best:
+                best, v = gain, u
         if not chosen:
-            first_best = gain
+            first_best = best
         # some deficient vertex always accepts itself, so progress is sure
         chosen |= 1 << v
         total -= _place(cover_out[v], rec, r)

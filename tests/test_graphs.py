@@ -297,6 +297,11 @@ def test_orientation_image_relabels_the_orientation():
 def test_orientation_image_rejects_non_automorphisms():
     with pytest.raises(GraphConstructionError):
         orientation_image(path(4), (1, 0, 2, 3))
+    # not permutations: both edges of the path would map onto edge 0,
+    # or vertex 2 would have no image
+    for sigma in ((1, 0, 1), (0, 1)):
+        with pytest.raises(GraphConstructionError):
+            orientation_image(path(3), sigma)
     with pytest.raises(TooManyEdges):
         orientation_image(star(26), tuple(range(26)))
 
@@ -337,6 +342,11 @@ def test_reception_undirected_all_towers_t1():
 def test_reception_rejects_stray_tower():
     with pytest.raises(InvalidVertex):
         reception(Digraph(2, [(0, 1)]), {5}, 2)
+    # no cover table below strength 1: it would read negative receptions
+    d = path(3).as_digraph()
+    for t in (-2, 0):
+        with pytest.raises(InvalidParams):
+            reception(d, [0, 2], t)
 
 
 def test_is_dominating_star_cases():

@@ -113,6 +113,8 @@ def test_clauses_agree_when_t_equals_r():
     diag = builtin_patterns()["diag13"]
     assert check(diag, Params(2, 2), 6, 6, clause=CLAUSE_LITERAL).strict_efficient
     assert check(diag, Params(2, 2), 6, 6, clause=CLAUSE_SELF_CONSISTENT).strict_efficient
+    with pytest.raises(ParseError, match="unknown clause interpretation 'bogus'"):
+        check(diag, Params(2, 2), 6, 6, clause="bogus")
 
 
 def reference_report(pat, p, a, b, clause):

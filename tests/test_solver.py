@@ -21,6 +21,7 @@ from bdom import (
     orient,
 )
 from bdom.families import grid, star, star_orientation
+from bdom.solver import _greedy
 
 PARAMS6 = [Params(1, 1), Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(3, 3)]
 
@@ -370,6 +371,45 @@ def test_greedy_is_dominating_and_upper_bound():
     s = greedy_upper_bound(g33, p)
     assert is_dominating(g33, s, p)
     assert len(s) >= gamma(g33, p).gamma == 4
+
+
+def list_greedy(cover_out, r):
+    """The greedy as it was with a gains list per round: every tower's
+    deficit-clamped gain (0 if chosen), then the first largest.
+    Returns (mask, first_best)."""
+    n = len(cover_out)
+    rec = [0] * n
+    total = r * n
+    chosen = first_best = 0
+    while total > 0:
+        gains = []
+        for v, pairs in enumerate(cover_out):
+            gain = 0
+            if not chosen >> v & 1:
+                for w, c in pairs:
+                    dw = r - rec[w]
+                    if dw > 0:
+                        gain += min(c, dw)
+            gains.append(gain)
+        gain = max(gains)
+        v = gains.index(gain)
+        if not chosen:
+            first_best = gain
+        chosen |= 1 << v
+        for w, c in cover_out[v]:
+            total -= max(0, min(c, r - rec[w]))
+            rec[w] += c
+    return chosen, first_best
+
+
+def test_greedy_matches_gains_list_greedy():
+    cases = [(d, p) for d in random_digraphs() for p in PARAMS6]
+    cases += [(Digraph(300, []), p) for p in (Params(1, 1), Params(2, 1))]
+    paths = build_graph(240, disjoint_paths(60)).as_digraph()
+    cases += [(paths, p) for p in PARAMS6]
+    for d, p in cases:
+        cover_out = d.cover(p.t)
+        assert _greedy(cover_out, p.r) == list_greedy(cover_out, p.r), (d.arcs, p)
 
 
 def test_determinism():

@@ -1,13 +1,16 @@
 """The public surface: what bdom exports and what the README shows."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import bdom
 
 REMOVED = ("bounded_distances", "reception_undirected", "is_full", "witness_orientation")
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_exports_resolve_and_removed_names_are_gone():
@@ -27,3 +30,21 @@ def test_readme_python_snippet_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_package_imports_only_the_stdlib():
+    # dependencies = [] holds only while every absolute import is stdlib
+    sources = sorted((ROOT / "src" / "bdom").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)

@@ -23,7 +23,6 @@ from .graphs import (
     Graph,
     Params,
     _check_size,
-    build_graph,
     orient,
     orient_index,
 )
@@ -42,7 +41,7 @@ def grid(m: int, n: int) -> Graph:
     for i in range(m - 1):
         for j in range(n):
             edges.append((i * n + j, (i + 1) * n + j))
-    return build_graph(m * n, edges)
+    return Graph(m * n, edges)
 
 
 def star(n: int) -> Graph:
@@ -50,14 +49,14 @@ def star(n: int) -> Graph:
     if n < 2:
         raise InvalidDims(f"star needs at least 2 vertices, got {n}")
     _check_size(n, "star has", "generation")
-    return build_graph(n, [(0, k + 1) for k in range(n - 1)])
+    return Graph(n, [(0, k + 1) for k in range(n - 1)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InvalidDims(f"path needs at least 1 vertex, got {n}")
     _check_size(n, "path has", "generation")
-    return build_graph(n, [(k, k + 1) for k in range(n - 1)])
+    return Graph(n, [(k, k + 1) for k in range(n - 1)])
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -11,10 +11,14 @@ A Digraph holds n, its ascending out-adjacency (one arc per oriented
 edge) and its cover tables, nothing else.  Anti-parallel arc pairs are
 allowed (that is how an undirected graph is re-expressed for the
 directed machinery, and how undirected reception is computed);
-same-direction duplicates and loops are not.  Only arcs from outside
-(parse_dg, library callers) are checked; the derived digraphs of
-Graph.as_digraph, orient_index, transpose and lattice.torus_digraph are
-valid by construction and built through Digraph._trusted.
+same-direction duplicates and loops are not.
+
+Graph(n, edges) and Digraph(n, arcs) check what comes from outside
+(parse_ug, parse_dg, the families, library callers): a negative vertex
+count, an endpoint out of range, a loop or a repeated edge or arc
+raises.  Only the derived digraphs of Graph.as_digraph, orient_index,
+transpose and lattice.torus_digraph skip the checks: they are valid by
+construction and built through Digraph._trusted.
 
 Signal model: a tower at v sends strength t - d(v, w) to every vertex w
 at directed distance d(v, w) < t, including strength t to itself.  The
@@ -74,19 +78,37 @@ class Params:
 
 
 class Graph:
-    """Undirected simple graph with a canonical edge order."""
+    """Undirected simple graph with a canonical edge order.
+
+    The constructor checks and normalizes the edges in one pass: each is
+    stored as (u, v) with u < v, in input order.  A negative n or an
+    endpoint out of range raises InvalidVertex, a loop LoopEdge and a
+    repeated edge (in either direction) DuplicateEdge.
+    """
 
     __slots__ = ("n", "edges", "adjacency", "_incidence", "_digraph")
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
+        if n < 0:
+            raise InvalidVertex(f"vertex count must be nonnegative, got {n}")
+        # an ordered set: insertion order is the canonical edge order
+        canonical: dict[tuple[int, int], None] = {}
         incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         high_mask = [0] * n
-        for k, (u, v) in enumerate(self.edges):
+        for k, (a, b) in enumerate(edges):
+            if not (0 <= a < n) or not (0 <= b < n):
+                raise InvalidVertex(f"edge ({a}, {b}) out of range for n={n}")
+            if a == b:
+                raise LoopEdge(f"loop at vertex {a}")
+            u, v = e = (a, b) if a < b else (b, a)
+            if e in canonical:
+                raise DuplicateEdge(f"duplicate edge {e}")
+            canonical[e] = None
             incident[u].append((v, k))
             incident[v].append((u, k))
             high_mask[v] |= 1 << k
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple(canonical)
         for pairs in incident:
             pairs.sort()
         self.adjacency: Adjacency = tuple(
@@ -232,50 +254,24 @@ def _build_cover(adjacency: Adjacency, t: int) -> CoverOut:
     return tuple(cover_out)
 
 
-def build_graph(n: int, edge_list: Iterable[Iterable[int]]) -> Graph:
-    """Validate and normalize an edge list into a Graph.
-
-    Endpoint pairs are normalized to (u, v) with u < v; the canonical
-    edge order is the input order after normalization.
-    """
-    if n < 0:
-        raise InvalidVertex(f"vertex count must be nonnegative, got {n}")
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for pair in edge_list:
-        a, b = pair
-        if not (0 <= a < n) or not (0 <= b < n):
-            raise InvalidVertex(f"edge ({a}, {b}) out of range for n={n}")
-        if a == b:
-            raise LoopEdge(f"loop at vertex {a}")
-        e = (a, b) if a < b else (b, a)
-        if e in seen:
-            raise DuplicateEdge(f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges)
-
-
 # ---- orientations ----------------------------------------------------------
 
 Bits = Sequence[int]
 
 
 def normalize_bits(bits: Bits | str, expected_length: int) -> tuple[int, ...]:
-    """Accept '0101' strings or 0/1 sequences; enforce the edge count."""
-    if isinstance(bits, str):
-        try:
-            values = tuple(int(ch) for ch in bits.strip())
-        except ValueError as exc:
-            raise LengthMismatch(f"not a bit string: {bits!r}") from exc
-    else:
-        values = tuple(int(b) for b in bits)
+    """Accept '0101' strings or sequences of values equal to 0 or 1 (bools
+    too); enforce the edge count.  Anything else raises LengthMismatch."""
+    text = isinstance(bits, str)
+    digits = ("0", "1") if text else (0, 1)
+    try:
+        values = tuple(digits.index(b) for b in (bits.strip() if text else bits))
+    except ValueError as exc:
+        raise LengthMismatch(f"orientation bits must be 0/1, got {bits!r}") from exc
     if len(values) != expected_length:
         raise LengthMismatch(
             f"expected {expected_length} orientation bits, got {len(values)}"
         )
-    if any(b not in (0, 1) for b in values):
-        raise LengthMismatch(f"orientation bits must be 0/1, got {values}")
     return values
 
 
@@ -592,7 +588,7 @@ def _parse_pairs(lines: list[str], kind: str) -> list[tuple[int, int]]:
 def parse_ug(text: str) -> Graph:
     lines = _payload_lines(text)
     n, _ = _parse_header(lines, ".ug")
-    return build_graph(n, _parse_pairs(lines[1:], ".ug"))
+    return Graph(n, _parse_pairs(lines[1:], ".ug"))
 
 
 def format_ug(g: Graph) -> str:

@@ -37,7 +37,6 @@ from .graphs import (
     _check_size,
     automorphism_generators,
     bits_from_index,
-    build_graph,
     index_from_bits,
     normalize_bits,
     orient_index,
@@ -208,9 +207,9 @@ def max_step(trace: WalkTrace) -> int:
 def _random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Uniform random labeled tree plus a few extra edges."""
     if n == 1:
-        return build_graph(1, [])
+        return Graph(1, [])
     if n == 2:
-        return build_graph(2, [(0, 1)])
+        return Graph(2, [(0, 1)])
     # Pruefer decode gives a uniform labeled spanning tree
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -236,7 +235,7 @@ def _random_connected_graph(rng: random.Random, n: int) -> Graph:
         if e not in present:
             present.add(e)
             edges.append(e)
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def _sample_orientation(rng: random.Random, g: Graph) -> tuple[int, ...]:

@@ -215,8 +215,6 @@ def builtin_patterns() -> dict[str, TorusPattern]:
 def parse_pat(text: str, name: str = "") -> TorusPattern:
     lines = _payload_lines(text)
     pa, pb = _header_ints(lines, ".pat", "'pa pb'")
-    if pa < 1 or pb < 1:
-        raise ParseError(f".pat period must be positive, got {pa}x{pb}")
     if len(lines) != 1 + 3 * pa:
         raise ParseError(
             f".pat needs {3 * pa} body lines for pa={pa}, got {len(lines) - 1}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from bdom import Graph, build_graph
+from bdom import Graph
 
 
 def is_connected(n: int, edges) -> bool:
@@ -35,7 +35,7 @@ def connected_labeled_graphs(max_n: int) -> list[Graph]:
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             if is_connected(n, edges):
-                out.append(build_graph(n, edges))
+                out.append(Graph(n, edges))
     return out
 
 

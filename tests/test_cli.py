@@ -88,7 +88,7 @@ def test_gamma_on_600_disjoint_paths(tmp_path, capsys):
     # recursion limit
     edges = [(4 * i + j, 4 * i + j + 1) for i in range(600) for j in range(3)]
     ug = tmp_path / "paths.ug"
-    ug.write_text(format_ug(bdom.graphs.build_graph(2400, edges)), encoding="utf-8")
+    ug.write_text(format_ug(bdom.graphs.Graph(2400, edges)), encoding="utf-8")
     report = run_json(capsys, "gamma", str(ug), "--t", "2", "--r", "1")
     assert report["results"]["gamma"] == 1200
 

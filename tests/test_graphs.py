@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bdom import (
     Digraph,
     DuplicateEdge,
+    Graph,
     GraphConstructionError,
     InfeasibleParams,
     InvalidParams,
@@ -22,7 +23,6 @@ from bdom import (
     TooManyEdges,
     automorphism_generators,
     bits_from_index,
-    build_graph,
     format_dg,
     format_ug,
     index_from_bits,
@@ -43,26 +43,102 @@ from conftest import connected_labeled_graphs, reference_bfs
 
 
 def test_build_minimal_graph():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert g.n == 2
     assert g.edges == ((0, 1),)
     assert g.adjacency == ((1,), (0,))
 
 
 def test_build_normalizes_endpoint_order():
-    g = build_graph(3, [(2, 0), (1, 2)])
+    g = Graph(3, [(2, 0), (1, 2)])
     assert g.edges == ((0, 2), (1, 2))
+    # bit 0 of an orientation means low id -> high id, also when the
+    # caller named the edge high end first
+    assert Graph(3, [(1, 0)]).edges == ((0, 1),)
+    assert orient(Graph(3, [(1, 0)]), [0]).arcs == ((0, 1),)
 
 
 def test_build_rejects_bad_edges():
     with pytest.raises(InvalidVertex):
-        build_graph(2, [(0, 2)])
+        Graph(2, [(0, 2)])
     with pytest.raises(LoopEdge):
-        build_graph(2, [(1, 1)])
+        Graph(2, [(1, 1)])
     with pytest.raises(DuplicateEdge):
-        build_graph(3, [(0, 1), (0, 1)])
+        Graph(3, [(0, 1), (0, 1)])
     with pytest.raises(DuplicateEdge):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(DuplicateEdge, match=r"duplicate edge \(0, 1\)"):
+        Graph(2, [(0, 1), (0, 1)])
+    with pytest.raises(InvalidVertex, match=r"edge \(0, 5\) out of range for n=3"):
+        Graph(3, [(0, 5)])
+    with pytest.raises(InvalidVertex, match="vertex count must be nonnegative"):
+        Graph(-1, [])
+
+
+def reference_edges(n, edge_list):
+    """The checks and normalization Graph's constructor took over from
+    the removed build_graph, kept as a reference: the normalized edges
+    in input order, or the first error."""
+    if n < 0:
+        raise InvalidVertex(f"vertex count must be nonnegative, got {n}")
+    edges = []
+    seen = set()
+    for pair in edge_list:
+        a, b = pair
+        if not (0 <= a < n) or not (0 <= b < n):
+            raise InvalidVertex(f"edge ({a}, {b}) out of range for n={n}")
+        if a == b:
+            raise LoopEdge(f"loop at vertex {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise DuplicateEdge(f"duplicate edge {e}")
+        seen.add(e)
+        edges.append(e)
+    return edges
+
+
+def random_edge_list(rng, n):
+    """Distinct pairs in random direction, with about every other list
+    given one fault: a repeat (either direction), a loop or an end out
+    of range (negative or >= n)."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = [
+        (b, a) if rng.random() < 0.5 else (a, b)
+        for a, b in rng.sample(pairs, rng.randint(0, len(pairs)))
+    ]
+    fault = rng.choice(["none", "repeat", "reversed", "loop", "range"])
+    if fault in ("repeat", "reversed") and edges:
+        a, b = rng.choice(edges)
+        edges.append((a, b) if fault == "repeat" else (b, a))
+    elif fault == "loop" and n:
+        v = rng.randrange(n)
+        edges.append((v, v))
+    elif fault == "range":
+        edges.append((rng.choice([-1, n, n + 3]), rng.randrange(max(n, 1))))
+    rng.shuffle(edges)
+    return edges
+
+
+def test_graph_constructor_matches_reference_checks():
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randrange(9)
+        edges = random_edge_list(rng, n)
+        try:
+            normalized = reference_edges(n, edges)
+        except (InvalidVertex, LoopEdge, DuplicateEdge) as exc:
+            outcomes.add(type(exc))
+            with pytest.raises(type(exc)) as raised:
+                Graph(n, edges)
+            assert str(raised.value) == str(exc)
+            continue
+        outcomes.add(None)
+        g, h = Graph(n, edges), Graph(n, normalized)
+        assert g.edges == h.edges == tuple(normalized)
+        assert g.adjacency == h.adjacency
+        assert g._incidence == h._incidence
+    assert outcomes == {None, InvalidVertex, LoopEdge, DuplicateEdge}
 
 
 def test_digraph_allows_antiparallel_but_not_parallel():
@@ -78,18 +154,24 @@ def test_digraph_allows_antiparallel_but_not_parallel():
 
 
 def test_orient_single_edge():
-    p2 = build_graph(2, [(0, 1)])
+    p2 = Graph(2, [(0, 1)])
     assert orient(p2, [0]).arcs == ((0, 1),)
     assert orient(p2, [1]).arcs == ((1, 0),)
     assert orient(p2, "1").arcs == ((1, 0),)
 
 
 def test_orient_length_mismatch():
-    p2 = build_graph(2, [(0, 1)])
+    p2 = Graph(2, [(0, 1)])
     with pytest.raises(LengthMismatch):
         orient(p2, [0, 1])
     with pytest.raises(LengthMismatch):
         orient(p2, [2])
+    # only the characters 0/1 and values equal to 0 or 1 are bits
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    for bad in ([0, 1.5], [0.7, 1], "\u0660\u0661", [None, 0], ["1", "0"], "1x"):
+        with pytest.raises(LengthMismatch, match="must be 0/1"):
+            orient(p3, bad)
+    assert orient(p3, [True, 0.0]) == orient(p3, "10") == orient(p3, (1, 0))
 
 
 def test_center_source_star_is_all_zero_bits():
@@ -225,11 +307,11 @@ def _generated_group(generators, n):
 
 
 def _cycle(n):
-    return build_graph(n, [(k, (k + 1) % n) for k in range(n)])
+    return Graph(n, [(k, (k + 1) % n) for k in range(n)])
 
 
 def test_automorphism_generators_generate_the_brute_force_group():
-    complete4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    complete4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     extra = [star(6), _cycle(6), complete4, grid(2, 3)]
     for g in connected_labeled_graphs(5) + extra:
         brute = {
@@ -265,7 +347,7 @@ def _automorphisms_by_extension(g):
 def test_automorphism_generators_reject_refinement_look_alikes():
     # a cubic graph on 12 vertices: degree refinement is powerless and
     # some leaves with the first leaf's cell sizes are not automorphisms
-    g = build_graph(12, [
+    g = Graph(12, [
         (0, 3), (0, 5), (0, 7), (1, 2), (1, 4), (1, 5), (2, 8), (2, 11), (3, 4),
         (3, 6), (4, 10), (5, 7), (6, 8), (6, 9), (7, 11), (8, 10), (9, 10), (9, 11),
     ])
@@ -279,10 +361,10 @@ def test_automorphism_generators_stay_few():
         assert len(automorphism_generators(star(n))) == n - 2
     assert len(automorphism_generators(star(25))) == 23
     # asymmetric: the smallest asymmetric tree, a spider with legs 1, 2, 3
-    spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    spider = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
     assert automorphism_generators(spider) == []
     # isolated vertices stay fixed: swapping them moves no edge
-    assert automorphism_generators(build_graph(4, [(0, 1)])) == [(1, 0, 2, 3)]
+    assert automorphism_generators(Graph(4, [(0, 1)])) == [(1, 0, 2, 3)]
 
 
 def test_orientation_image_relabels_the_orientation():

@@ -4,12 +4,12 @@ import pytest
 
 import bdom.interval
 from bdom import (
+    Graph,
     InfeasibleParams,
     Params,
     TooManyEdges,
     automorphism_generators,
     bits_from_index,
-    build_graph,
     domination_interval,
     flip_walk,
     gamma,
@@ -42,7 +42,7 @@ def test_star6_44_interval():
 
 
 def test_p2_interval_is_degenerate():
-    p2 = build_graph(2, [(0, 1)])
+    p2 = Graph(2, [(0, 1)])
     iv = domination_interval(p2, Params(2, 1))
     assert (iv.d, iv.D, iv.attained) == (1, 1, frozenset({1}))
 
@@ -133,7 +133,7 @@ def test_witness_orientation_found_and_absent():
     assert bits is not None
     assert gamma(orient(g, bits), p).gamma == 3
     assert witnesses.get(5) is None
-    p2 = build_graph(2, [(0, 1)])
+    p2 = Graph(2, [(0, 1)])
     iv = domination_interval(p2, Params(2, 1))
     assert iv.witnesses.get(1) == (0,)
 
@@ -172,7 +172,7 @@ def test_orbit_minima_counts():
         assert len(orbit_minima(star(n))) == n
     assert len(orbit_minima(path(5))) == 10
     assert len(orbit_minima(grid(3, 3))) == 570
-    spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    spider = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
     assert orbit_minima(spider) == range(64)
 
 
@@ -180,7 +180,7 @@ def test_orbit_minima_guard_without_automorphisms():
     # a path 0..24 with a pendant 25 at vertex 2: arms of lengths 1, 2
     # and 22 meet there, so only the identity maps the 25 edges onto
     # themselves, and without the guard the minima would be all 2^25 indices
-    g = build_graph(26, [(k, k + 1) for k in range(24)] + [(2, 25)])
+    g = Graph(26, [(k, k + 1) for k in range(24)] + [(2, 25)])
     assert automorphism_generators(g) == []
     with pytest.raises(TooManyEdges):
         orbit_minima(g)
@@ -189,7 +189,7 @@ def test_orbit_minima_guard_without_automorphisms():
 def test_interval_matches_full_scan_on_sampled_graphs():
     rng = random.Random(4)
     small = [g for g in connected_labeled_graphs(5) if len(g.edges) <= 7]
-    hexagon = build_graph(6, [(k, (k + 1) % 6) for k in range(6)])
+    hexagon = Graph(6, [(k, (k + 1) % 6) for k in range(6)])
     for g in rng.sample(small, 6) + [hexagon, grid(2, 3)]:
         for p in SIX_PAIRS:
             first = _full_scan(g, p)
@@ -218,7 +218,7 @@ def test_star16_interval_matches_closed_form(p):
     "g",
     [
         # asymmetric: every one of the 64 orientations is its own orbit
-        build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]),
+        Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]),
         grid(3, 3),  # 570 orbit minima
     ],
 )

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bdom import Digraph, Params, TooLarge, is_dominating
+from bdom.cli import main
 from bdom.errors import DegenerateTorus, NotAMultiple, ParseError
 from bdom.lattice import (
     BUILTIN_PATTERNS,
@@ -297,6 +298,26 @@ def test_builtin_pattern_texts_match_bench(monkeypatch):
 def test_parse_pat_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_pat(text)
+
+
+def _pat_with_header(pa: int, pb: int, body: bool) -> str:
+    """Header "pa pb", alone or over 3 * max(pa, 1) rows of max(pb, 1) chars."""
+    rows, width = max(pa, 1), max(pb, 1)
+    block = ["T" * width] * rows + ["0" * width] * (2 * rows) if body else []
+    return "\n".join([f"{pa} {pb}", *block]) + "\n"
+
+
+@pytest.mark.parametrize("pa, pb", [(0, 3), (0, 0), (-1, 2), (2, 0), (1, -1)])
+@pytest.mark.parametrize("body", [False, True])
+def test_parse_pat_rejects_nonpositive_periods(tmp_path, pa, pb, body):
+    # no period check of its own: the line count, the row width and
+    # TorusPattern's shape check reject every such header
+    text = _pat_with_header(pa, pb, body)
+    with pytest.raises(ParseError):
+        parse_pat(text)
+    pat = tmp_path / "bad.pat"
+    pat.write_text(text, encoding="utf-8")
+    assert main(["torus", "--pattern", str(pat), "--t", "2", "--r", "2"]) == 2
 
 
 def test_pattern_rejects_empty_rows():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bdom import (
     Digraph,
-    build_graph,
+    Graph,
     InfeasibleParams,
     Params,
     TooLarge,
@@ -72,7 +72,7 @@ def test_search_size_and_witness_pinned():
     res = gamma(orient(g, bits_from_index(11766603, len(g.edges))), Params(2, 2))
     assert (res.gamma, sorted(res.witness), res.nodes_explored) == (
         10, [0, 1, 2, 5, 6, 7, 9, 12, 13, 15], 6)
-    rg = build_graph(18, [
+    rg = Graph(18, [
         (0, 1), (0, 3), (0, 7), (1, 2), (1, 5), (1, 9), (1, 13), (1, 16),
         (1, 17), (2, 6), (2, 8), (2, 14), (2, 15), (3, 4), (3, 11), (4, 7),
         (4, 11), (5, 6), (6, 17), (7, 11), (8, 10), (10, 12), (11, 12),
@@ -310,7 +310,7 @@ NON_GREEDY9 = [(0, 2), (0, 3), (0, 8), (1, 2), (1, 5), (1, 6), (2, 4), (2, 6),
 
 def test_search_deeper_than_recursion_limit():
     # the greedy's 204 towers are beaten only by a leaf 203 towers deep
-    g = build_graph(409, NON_GREEDY9 + disjoint_paths(100, 9))
+    g = Graph(409, NON_GREEDY9 + disjoint_paths(100, 9))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
@@ -325,7 +325,7 @@ def test_search_deeper_than_recursion_limit():
 def test_disjoint_paths_solved_at_the_root():
     # the path ends' candidate sets are pairwise disjoint, so packing
     # meets the greedy's 2 towers per path before any branch
-    res = gamma_undirected(build_graph(40, disjoint_paths(10)), Params(2, 1))
+    res = gamma_undirected(Graph(40, disjoint_paths(10)), Params(2, 1))
     assert (res.gamma, res.nodes_explored) == (20, 1)
 
 
@@ -405,7 +405,7 @@ def list_greedy(cover_out, r):
 def test_greedy_matches_gains_list_greedy():
     cases = [(d, p) for d in random_digraphs() for p in PARAMS6]
     cases += [(Digraph(300, []), p) for p in (Params(1, 1), Params(2, 1))]
-    paths = build_graph(240, disjoint_paths(60)).as_digraph()
+    paths = Graph(240, disjoint_paths(60)).as_digraph()
     cases += [(paths, p) for p in PARAMS6]
     for d, p in cases:
         cover_out = d.cover(p.t)

@@ -1,13 +1,21 @@
 """The public surface: what bdom exports and what the README shows."""
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
 
 import bdom
+import bdom.errors
 
-REMOVED = ("bounded_distances", "reception_undirected", "is_full", "witness_orientation")
+REMOVED = (
+    "bounded_distances",
+    "reception_undirected",
+    "is_full",
+    "witness_orientation",
+    "build_graph",
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -48,3 +56,34 @@ def test_package_imports_only_the_stdlib():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
+
+def _raises(node, function=None):
+    """(enclosing function name, Raise node) for every raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        yield from _raises(child, inner)
+
+
+def test_every_raise_is_a_bdom_error():
+    # the CLI maps BdomError subclasses to exit codes 2-4; anything else
+    # leaves the package as an internal error (exit 5)
+    allowed = {("solver.py", "gamma_bruteforce", "AssertionError")}
+    seen = set()
+    for path in sorted((ROOT / "src" / "bdom").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = list(_raises(tree))
+        assert len(found) == sum(isinstance(n, ast.Raise) for n in ast.walk(tree))
+        for function, node in found:
+            where = f"{path.name}:{node.lineno}"
+            assert isinstance(node.exc, ast.Call), where
+            assert isinstance(node.exc.func, ast.Name), where
+            name = node.exc.func.id
+            if (path.name, function, name) in allowed:
+                seen.add((path.name, function, name))
+                continue
+            cls = getattr(bdom.errors, name, None) or getattr(builtins, name)
+            assert issubclass(cls, bdom.errors.BdomError), (where, name)
+    assert seen == allowed

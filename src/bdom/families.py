@@ -211,7 +211,8 @@ def _orient_away(
     return orient(g, bits), tuple(flagged)
 
 
-def _indegree_le1_count(d: Digraph) -> int:
+def _indegree_le1_count(d: Digraph, first: object) -> int:
+    """_scan's value for max_indegree_le1_orientation; it never declines."""
     heads = [0] * d.n
     for out in d.out_adjacency:
         for w in out:

@@ -37,6 +37,7 @@ Params holds (t, r) and is the one place where 1 <= r <= t is checked.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -81,9 +82,10 @@ class Graph:
     """Undirected simple graph with a canonical edge order.
 
     The constructor checks and normalizes the edges in one pass: each is
-    stored as (u, v) with u < v, in input order.  A negative n or an
-    endpoint out of range raises InvalidVertex, a loop LoopEdge and a
-    repeated edge (in either direction) DuplicateEdge.
+    stored as (u, v) with u < v, in input order.  A negative n, an edge
+    that is not a pair of integers or an endpoint out of range raises
+    InvalidVertex, a loop LoopEdge and a repeated edge (in either
+    direction) DuplicateEdge.
     """
 
     __slots__ = ("n", "edges", "adjacency", "_incidence", "_digraph")
@@ -95,7 +97,13 @@ class Graph:
         canonical: dict[tuple[int, int], None] = {}
         incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         high_mask = [0] * n
-        for k, (a, b) in enumerate(edges):
+        for k, edge in enumerate(edges):
+            try:
+                a, b = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise InvalidVertex(
+                    f"edge {edge!r} is not a pair of integer vertex ids"
+                ) from None
             if not (0 <= a < n) or not (0 <= b < n):
                 raise InvalidVertex(f"edge ({a}, {b}) out of range for n={n}")
             if a == b:
@@ -266,7 +274,7 @@ def normalize_bits(bits: Bits | str, expected_length: int) -> tuple[int, ...]:
     digits = ("0", "1") if text else (0, 1)
     try:
         values = tuple(digits.index(b) for b in (bits.strip() if text else bits))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise LengthMismatch(f"orientation bits must be 0/1, got {bits!r}") from exc
     if len(values) != expected_length:
         raise LengthMismatch(

@@ -7,9 +7,24 @@ gamma, so domination_interval solves one orientation per orbit of the
 automorphism group on indices: the orbit's lowest index.  Because gamma
 is constant on an orbit, the lowest index attaining each value is an
 orbit minimum, and the result, witnesses included, equals that of a scan
-of all 2^|E| indices.  The minima can be split across worker processes;
-merging keeps the lowest-index witness per value, so the result does not
-depend on the split either.
+of all 2^|E| indices.
+
+The scan keeps only the lowest index of each value, so it needs an
+orientation's value only when that value is new.  For each orbit
+minimum it runs gamma's greedy seed alone, which bounds gamma between
+lb = max(floor, ceil(r*n / static_max)) and the greedy set's size.
+floor is the undirected gamma of the graph: every orientation's arcs
+are a subset of the doubled ones, so none has a lower gamma.  When every
+integer in that range already has a lower index, the index is declined;
+otherwise the search runs from the same seed.  floor is computed at
+most once per scan, and only when the greedy size is already known, so
+a scan with one minimum costs one greedy.
+
+The minima can be split across worker processes, each declining only
+against its own values; merging keeps the lowest-index witness per
+value, so the result does not depend on the split either.  The pool
+starts only from MIN_MINIMA_PER_WORKER minima per worker: below that,
+starting and stopping it costs more than it saves.
 
 flip_walk realizes the constructive interval arguments: walking between
 two orientations one arc flip at a time and recording gamma along the
@@ -23,9 +38,8 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import Pool
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .errors import OutOfRange
 from .graphs import (
@@ -42,7 +56,13 @@ from .graphs import (
     orient_index,
     orientation_image,
 )
-from .solver import gamma
+from .solver import _cover_tables, _greedy, _search, gamma
+
+# Pool(2) time over serial time of domination_interval on 2 shared
+# cores, Python 3.11.7 (table in CHANGES.md): at (2,2) 1.07-1.26 at
+# 4,096 orbit minima and 0.45-1.05 from 8,192; (3,1) pays from about
+# 1,024, so this errs towards the serial scan
+MIN_MINIMA_PER_WORKER = 4096
 
 
 @dataclass(frozen=True)
@@ -121,35 +141,62 @@ def orbit_minima(g: Graph) -> Sequence[int]:
 
 
 def _scan(
-    g: Graph, value: Callable[[Digraph], int], indices: Sequence[int]
+    g: Graph,
+    value: Callable[[Digraph, Container[int]], int | None],
+    indices: Sequence[int],
 ) -> dict[int, int]:
-    """The one loop over orientation indices: value of each orientation,
-    for ascending indices; value -> first index."""
+    """The one loop over orientation indices, ascending: value -> first
+    index.  value(d, first) is the value of orientation d, or None to
+    decline the index, which it may do only when that value is surely in
+    first already."""
     first: dict[int, int] = {}
     for index in indices:
-        x = value(orient_index(g, index))
-        if x not in first:
+        x = value(orient_index(g, index), first)
+        if x is not None and x not in first:
             first[x] = index
     return first
 
 
-def _gamma_value(p: Params, d: Digraph) -> int:
-    return gamma(d, p).gamma
+class _GammaValue:
+    """_scan's value for domination_interval: gamma of an orientation of
+    g, declined when the greedy seed's bounds hold only known values."""
+
+    def __init__(self, g: Graph, p: Params):
+        self.g = g
+        self.p = p
+        self.floor: int | None = None
+
+    def __call__(self, d: Digraph, first: Container[int]) -> int | None:
+        r = self.p.r
+        cover_out = _cover_tables(d, self.p.t)
+        mask, static_max = _greedy(cover_out, r)
+        high = mask.bit_count()
+        # every value in [low, high] is known only if high is: check
+        # that first, so that the floor waits until it can matter
+        if high in first:
+            if self.floor is None:
+                self.floor = gamma(self.g.as_digraph(), self.p).gamma
+            low = max(self.floor, -(-r * d.n // static_max))
+            if all(x in first for x in range(low, high)):
+                return None
+        return _search(cover_out, r, mask, static_max).gamma
 
 
 def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterval:
-    """gamma over all 2^|E| orientations, solving one per symmetry orbit.
+    """gamma over all 2^|E| orientations, solving one per symmetry orbit
+    and declining the orbits whose value is already known.
 
     orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges.  jobs
     worker processes (from 1 up to the CPU count) take strided slices of
-    the orbit minima; fewer than 4 minima per worker run serially.
+    the orbit minima; fewer than MIN_MINIMA_PER_WORKER minima per worker
+    run serially.
     """
     if jobs < 1:
         raise OutOfRange(f"jobs must be >= 1, got {jobs}")
     minima = orbit_minima(g)
-    gamma_at_p = partial(_gamma_value, p)
+    gamma_at_p = _GammaValue(g, p)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(minima) < 4 * jobs:
+    if jobs <= 1 or len(minima) < MIN_MINIMA_PER_WORKER * jobs:
         first = _scan(g, gamma_at_p, minima)
     else:
         # strided: gamma's cost drifts with the index, so every worker

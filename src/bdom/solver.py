@@ -1,10 +1,14 @@
 """Exact directed (t,r) broadcast domination numbers.
 
-gamma() runs a depth-first branch and bound over tower sets:
+gamma() is the greedy seed (_greedy) followed by the search (_search),
+a depth-first branch and bound over tower sets.  They are two functions
+so that a caller can run the seed alone and search from that same seed
+only when it needs the exact value (interval's scan does).  In the
+search:
 
 * state is the per-vertex deficit (r minus current reception, floored
   at zero) plus the set of towers placed so far;
-* the search is one loop over an explicit stack, one frame per placed
+* it is one loop over an explicit stack, one frame per placed
   tower on the current path: the parent's size, chosen and banned
   masks, its branch bits still to try, the placed tower's bit and the
   deficit it cleared.  Backtracking pops a frame and undoes its tower,
@@ -133,14 +137,22 @@ def greedy_upper_bound(d: Digraph, p: Params) -> frozenset[int]:
 
 
 def gamma(d: Digraph, p: Params) -> GammaResult:
-    """Exact minimum size of a directed (t,r) broadcast dominating set."""
-    n = d.n
+    """Exact minimum size of a directed (t,r) broadcast dominating set:
+    the greedy seed, then the search from it."""
+    cover_out = _cover_tables(d, p.t)
+    best_mask, static_max = _greedy(cover_out, p.r)
+    return _search(cover_out, p.r, best_mask, static_max)
+
+
+def _search(
+    cover_out: Sequence[Pairs], r: int, best_mask: int, static_max: int
+) -> GammaResult:
+    """The branch and bound of gamma on a digraph's cover table, from the
+    incumbent best_mask and the static bound's denominator static_max,
+    both as _greedy returns them."""
+    n = len(cover_out)
     if n == 0:
         return GammaResult(0, frozenset(), 0)
-    cover_out = _cover_tables(d, p.t)
-    r = p.r
-    # static_max: constant denominator for the cheap first-pass bound
-    best_mask, static_max = _greedy(cover_out, r)
     best_size = best_mask.bit_count()
     total = r * n
     # in_mask[w]: the towers whose signal reaches w; the root's static

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+import bdom.interval
 from bdom import Graph
 
 
@@ -56,3 +57,19 @@ def reference_bfs(out_adjacency, source: int, horizon: int) -> dict[int, int]:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
+
+
+def pool_spy(monkeypatch, per_worker=1):
+    """Report 2 CPUs, start the Pool from per_worker minima per worker,
+    and record the size of every Pool opened."""
+    opened = []
+    real_pool = bdom.interval.Pool
+
+    def spy(processes):
+        opened.append(processes)
+        return real_pool(processes=processes)
+
+    monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bdom.interval, "MIN_MINIMA_PER_WORKER", per_worker)
+    monkeypatch.setattr(bdom.interval, "Pool", spy)
+    return opened

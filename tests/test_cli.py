@@ -17,6 +17,7 @@ from bdom.errors import GraphConstructionError, ParseError, TooLarge
 from bdom.families import grid, star, star_orientation
 from bdom.graphs import MAX_PARSED_VERTICES, format_dg, format_ug, parse_dg, parse_ug
 from bdom.lattice import builtin_patterns, format_pat, parse_pat
+from conftest import pool_spy
 
 
 def run(capsys, *argv):
@@ -128,9 +129,12 @@ def test_interval_star5(capsys, s5_file):
     assert report["results"] == {"D": 4, "attained": [1, 2, 3, 4], "d": 1, "full": True}
 
 
-def test_interval_results_independent_of_jobs(capsys, s5_file):
+def test_interval_results_independent_of_jobs(monkeypatch, capsys, s5_file):
     one = run_json(capsys, "interval", s5_file, "--t", "2", "--r", "2", "--jobs", "1")
+    # star(5) has 5 orbit minima: start the pool from one per worker
+    opened = pool_spy(monkeypatch)
     two = run_json(capsys, "interval", s5_file, "--t", "2", "--r", "2", "--jobs", "2")
+    assert opened == [2]
     assert one["results"] == two["results"]
 
 
@@ -368,6 +372,8 @@ def test_interval_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
+    # without the clamp, 570 minima would start 64 workers
+    monkeypatch.setattr(bdom.interval, "MIN_MINIMA_PER_WORKER", 1)
     monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(bdom.interval, "Pool", no_pool)
     clamped = run_json(

@@ -274,6 +274,15 @@ def test_max_indegree_le1_counts():
         assert count + (g.n - count) * max_deg >= len(g.edges)
 
 
+@pytest.mark.parametrize(
+    "m, n, index, count", [(3, 3, 1656, 8), (2, 4, 104, 7)]
+)
+def test_max_indegree_le1_pinned(m, n, index, count):
+    # the in-degree count never declines an index in _scan, so the first
+    # maximizer stays the one found by scanning every orbit minimum
+    assert max_indegree_le1_orientation(m, n) == (orient_index(grid(m, n), index), count)
+
+
 def test_max_indegree_guard():
     with pytest.raises(TooManyEdges):
         max_indegree_le1_orientation(4, 5)  # 31 edges, over the 24 guard

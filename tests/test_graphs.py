@@ -73,6 +73,10 @@ def test_build_rejects_bad_edges():
         Graph(3, [(0, 5)])
     with pytest.raises(InvalidVertex, match="vertex count must be nonnegative"):
         Graph(-1, [])
+    # malformed shapes and types stay inside the BdomError tree
+    for bad in ([(0, 1, 2)], [(0, "1")], [0], [(0, 1.5)], [(0,)]):
+        with pytest.raises(InvalidVertex, match="not a pair of integer vertex ids"):
+            Graph(3, bad)
 
 
 def reference_edges(n, edge_list):
@@ -168,7 +172,7 @@ def test_orient_length_mismatch():
         orient(p2, [2])
     # only the characters 0/1 and values equal to 0 or 1 are bits
     p3 = Graph(3, [(0, 1), (1, 2)])
-    for bad in ([0, 1.5], [0.7, 1], "\u0660\u0661", [None, 0], ["1", "0"], "1x"):
+    for bad in ([0, 1.5], [0.7, 1], "\u0660\u0661", [None, 0], ["1", "0"], "1x", 5, None):
         with pytest.raises(LengthMismatch, match="must be 0/1"):
             orient(p3, bad)
     assert orient(p3, [True, 0.0]) == orient(p3, "10") == orient(p3, (1, 0))

@@ -3,7 +3,9 @@ import random
 import pytest
 
 import bdom.interval
+import bdom.solver
 from bdom import (
+    DominationInterval,
     Graph,
     InfeasibleParams,
     Params,
@@ -20,7 +22,7 @@ from bdom import (
 )
 from bdom.families import grid, path, star, star_interval
 from bdom.interval import orbit_minima
-from conftest import connected_labeled_graphs
+from conftest import connected_labeled_graphs, pool_spy
 
 SIX_PAIRS = [Params(t, r) for t in (1, 2, 3) for r in range(1, t + 1)]
 
@@ -65,17 +67,28 @@ def test_witnesses_map_to_first_orientation():
     assert iv.witnesses[1] == (0, 0, 0)
 
 
-def test_partition_independence_across_jobs():
-    g = star(5)
+def test_partition_independence_across_jobs(monkeypatch):
+    g = star(5)  # 5 orbit minima
     p = Params(2, 2)
     seq = domination_interval(g, p, jobs=1)
+    opened = pool_spy(monkeypatch)
     par = domination_interval(g, p, jobs=2)
+    assert opened == [2]
     assert (seq.d, seq.D, seq.attained, seq.witnesses) == (
         par.d,
         par.D,
         par.attained,
         par.witnesses,
     )
+
+
+def test_jobs_below_threshold_open_no_pool(monkeypatch):
+    # grid(3, 3) has 570 orbit minima, far below two workers' threshold
+    assert len(orbit_minima(grid(3, 3))) < 2 * bdom.interval.MIN_MINIMA_PER_WORKER
+    opened = pool_spy(monkeypatch, per_worker=bdom.interval.MIN_MINIMA_PER_WORKER)
+    pooled = domination_interval(grid(3, 3), Params(2, 2), jobs=2)
+    assert opened == []
+    assert pooled == domination_interval(grid(3, 3), Params(2, 2), jobs=1)
 
 
 def test_attained_set_is_transpose_closed():
@@ -186,19 +199,56 @@ def test_orbit_minima_guard_without_automorphisms():
         orbit_minima(g)
 
 
-def test_interval_matches_full_scan_on_sampled_graphs():
+def test_interval_matches_full_scan_on_sampled_graphs(monkeypatch):
+    # the scan declines the orbits whose value is already known, and
+    # each pool worker declines against its own values only; star(4) at
+    # (2,2) and grid(2, 4) at (3,2) each reach a new value at an
+    # orientation whose greedy size is already known
     rng = random.Random(4)
     small = [g for g in connected_labeled_graphs(5) if len(g.edges) <= 7]
     hexagon = Graph(6, [(k, (k + 1) % 6) for k in range(6)])
-    for g in rng.sample(small, 6) + [hexagon, grid(2, 3)]:
+    graphs = rng.sample(small, 6) + [hexagon, star(4), grid(2, 3), grid(2, 4), grid(3, 3)]
+    expected = {}
+    for g in graphs:
         for p in SIX_PAIRS:
             first = _full_scan(g, p)
-            iv = domination_interval(g, p)
-            assert (iv.d, iv.D, iv.attained) == (min(first), max(first), frozenset(first))
-            assert iv.witnesses == {
-                value: bits_from_index(i, len(g.edges))
-                for value, i in sorted(first.items())
-            }
+            expected[g, p] = DominationInterval(
+                d=min(first),
+                D=max(first),
+                attained=frozenset(first),
+                full=len(first) == max(first) - min(first) + 1,
+                witnesses={
+                    value: bits_from_index(i, len(g.edges))
+                    for value, i in sorted(first.items())
+                },
+            )
+            assert domination_interval(g, p, jobs=1) == expected[g, p]
+    opened = pool_spy(monkeypatch)
+    for g in graphs:
+        for p in SIX_PAIRS:
+            assert domination_interval(g, p, jobs=2) == expected[g, p]
+    assert opened == [2] * len(graphs) * len(SIX_PAIRS)
+
+
+def test_scan_runs_one_greedy_per_minimum(monkeypatch):
+    calls = []
+    real = bdom.solver._greedy
+
+    def spy(cover_out, r):
+        calls.append(len(cover_out))
+        return real(cover_out, r)
+
+    monkeypatch.setattr(bdom.solver, "_greedy", spy)
+    monkeypatch.setattr(bdom.interval, "_greedy", spy)
+    # one orientation: nothing is known yet, so the floor is not computed
+    iv = domination_interval(Graph(300, []), Params(2, 1))
+    assert (iv.d, iv.D) == (300, 300)
+    assert calls == [300]
+    # each orbit minimum runs the greedy once, searching from that seed
+    # when it cannot decline; the floor may add one more on the graph
+    calls.clear()
+    domination_interval(grid(3, 3), Params(2, 2))
+    assert 570 <= len(calls) <= 571
 
 
 @pytest.mark.parametrize("p", [Params(1, 1), Params(2, 2), Params(3, 3), Params(2, 1)])
@@ -225,15 +275,7 @@ def test_star16_interval_matches_closed_form(p):
 def test_pool_path_matches_serial(monkeypatch, g):
     p = Params(2, 2)
     serial = domination_interval(g, p, jobs=1)
-    opened = []
-    real_pool = bdom.interval.Pool
-
-    def spy(processes):
-        opened.append(processes)
-        return real_pool(processes=processes)
-
-    monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(bdom.interval, "Pool", spy)
+    opened = pool_spy(monkeypatch)
     pooled = domination_interval(g, p, jobs=2)
     assert opened == [2]
     assert pooled == serial

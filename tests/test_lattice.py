@@ -310,10 +310,10 @@ def _pat_with_header(pa: int, pb: int, body: bool) -> str:
 @pytest.mark.parametrize("pa, pb", [(0, 3), (0, 0), (-1, 2), (2, 0), (1, -1)])
 @pytest.mark.parametrize("body", [False, True])
 def test_parse_pat_rejects_nonpositive_periods(tmp_path, pa, pb, body):
-    # no period check of its own: the line count, the row width and
-    # TorusPattern's shape check reject every such header
+    # the message names the bad period, not a line count or row width
+    # derived from it
     text = _pat_with_header(pa, pb, body)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=rf"^\.pat periods must be positive, got pa={pa}, pb={pb}$"):
         parse_pat(text)
     pat = tmp_path / "bad.pat"
     pat.write_text(text, encoding="utf-8")

@@ -193,7 +193,8 @@ def audit_torus() -> dict:
     return {"target": "torus", "claims": claims}
 
 
-_AUDITS = {
+# every audit target in report order; the CLI offers these and "all"
+AUDITS = {
     "star": audit_star,
     "grid": audit_grid_formulas,
     "prop34": audit_prop34,
@@ -204,17 +205,17 @@ _AUDITS = {
 
 def run_audit(target: str) -> dict:
     if target == "all":
-        parts = [fn() for fn in _AUDITS.values()]
+        parts = [fn() for fn in AUDITS.values()]
         return {
             "target": "all",
             "claims": [c for part in parts for c in part["claims"]],
         }
     try:
-        fn = _AUDITS[target]
+        fn = AUDITS[target]
     except KeyError:
         raise OutOfFormulaDomain(
             f"unknown audit target {target!r}; choose from"
-            f" {sorted(_AUDITS)} or 'all'"
+            f" {sorted(AUDITS)} or 'all'"
         ) from None
     return fn()
 

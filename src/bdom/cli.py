@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .audit import render_markdown, run_audit
+from .audit import AUDITS, render_markdown, run_audit
 from .errors import (
     BdomError,
     GraphConstructionError,
@@ -280,9 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_jumps)
 
     sp = sub.add_parser("audit", help="check published claims, report statuses")
-    sp.add_argument(
-        "target", choices=["star", "grid", "prop34", "prop44", "torus", "all"]
-    )
+    sp.add_argument("target", choices=[*AUDITS, "all"])
     sp.add_argument("--md-out", help="also write a Markdown report here")
     sp.set_defaults(func=_cmd_audit)
     return parser

@@ -17,6 +17,8 @@ depends on the solver's search path.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import InvalidDims, OutOfFormulaDomain, OutOfRange
 from .graphs import (
     Digraph,
@@ -26,7 +28,7 @@ from .graphs import (
     orient,
     orient_index,
 )
-from .interval import DominationInterval, _scan, orbit_minima
+from .interval import DominationInterval, orbit_minima
 
 
 def grid(m: int, n: int) -> Graph:
@@ -211,23 +213,22 @@ def _orient_away(
     return orient(g, bits), tuple(flagged)
 
 
-def _indegree_le1_count(d: Digraph, first: object) -> int:
-    """_scan's value for max_indegree_le1_orientation; it never declines."""
-    heads = [0] * d.n
-    for out in d.out_adjacency:
-        for w in out:
-            heads[w] += 1
+def _indegree_le1_count(g: Graph, index: int) -> int:
+    """Vertices of in-degree <= 1 in orientation number index of g."""
+    heads = [0] * g.n
+    for k, (u, v) in enumerate(g.edges):
+        heads[u if index >> k & 1 else v] += 1
     return sum(1 for x in heads if x <= 1)
 
 
 def max_indegree_le1_orientation(m: int, n: int) -> tuple[Digraph, int]:
     """Orientation of the mxN grid maximizing vertices of in-degree <= 1.
 
-    Exhaustive over all 2^|E| orientations, scanning one per Aut(grid)
-    orbit (the count is the same across an orbit); returns the first
-    maximizer in enumeration order together with the count.
+    Exhaustive over all 2^|E| orientations, counting one per Aut(grid)
+    orbit.  The count is the same across an orbit, so the first maximizer
+    in enumeration order is an orbit minimum, the one max keeps; returns
+    it together with the count.
     """
     g = grid(m, n)
-    first = _scan(g, _indegree_le1_count, orbit_minima(g))
-    best = max(first)
-    return orient_index(g, first[best]), best
+    best = max(orbit_minima(g), key=partial(_indegree_le1_count, g))
+    return orient_index(g, best), _indegree_le1_count(g, best)

@@ -9,22 +9,23 @@ is constant on an orbit, the lowest index attaining each value is an
 orbit minimum, and the result, witnesses included, equals that of a scan
 of all 2^|E| indices.
 
-The scan keeps only the lowest index of each value, so it needs an
+_scan keeps only the lowest index of each value, so it needs an
 orientation's value only when that value is new.  For each orbit
 minimum it runs gamma's greedy seed alone, which bounds gamma between
 lb = max(floor, ceil(r*n / static_max)) and the greedy set's size.
 floor is the undirected gamma of the graph: every orientation's arcs
 are a subset of the doubled ones, so none has a lower gamma.  When every
-integer in that range already has a lower index, the index is declined;
-otherwise the search runs from the same seed.  floor is computed at
-most once per scan, and only when the greedy size is already known, so
-a scan with one minimum costs one greedy.
+integer in that range already has a lower index, the scan skips the
+index; otherwise the search runs from the same seed.  floor is computed
+at most once per scan, and only when the greedy size is already known,
+so a scan with one minimum costs one greedy.
 
-The minima can be split across worker processes, each declining only
+The minima can be split across worker processes, each skipping only
 against its own values; merging keeps the lowest-index witness per
-value, so the result does not depend on the split either.  The pool
-starts only from MIN_MINIMA_PER_WORKER minima per worker: below that,
-starting and stopping it costs more than it saves.
+value, so the result does not depend on the split either.  One worker
+is given per MIN_MINIMA_PER_WORKER minima, up to jobs and the CPU
+count: below that, starting and stopping a pool costs more than it
+saves.  A single worker scans in this process.
 
 flip_walk realizes the constructive interval arguments: walking between
 two orientations one arc flip at a time and recording gamma along the
@@ -39,12 +40,11 @@ import random
 from array import array
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable, Container, Sequence
+from typing import Sequence
 
 from .errors import OutOfRange
 from .graphs import (
     Bits,
-    Digraph,
     Graph,
     Params,
     _check_enum,
@@ -140,75 +140,55 @@ def orbit_minima(g: Graph) -> Sequence[int]:
     return minima
 
 
-def _scan(
-    g: Graph,
-    value: Callable[[Digraph, Container[int]], int | None],
-    indices: Sequence[int],
-) -> dict[int, int]:
-    """The one loop over orientation indices, ascending: value -> first
-    index.  value(d, first) is the value of orientation d, or None to
-    decline the index, which it may do only when that value is surely in
-    first already."""
+def _scan(g: Graph, p: Params, indices: Sequence[int]) -> dict[int, int]:
+    """gamma over the given orientation indices, ascending: value -> first
+    index.  An index whose greedy seed bounds its value to values already
+    in first is skipped without a search."""
+    r = p.r
     first: dict[int, int] = {}
+    floor: int | None = None
     for index in indices:
-        x = value(orient_index(g, index), first)
-        if x is not None and x not in first:
-            first[x] = index
-    return first
-
-
-class _GammaValue:
-    """_scan's value for domination_interval: gamma of an orientation of
-    g, declined when the greedy seed's bounds hold only known values."""
-
-    def __init__(self, g: Graph, p: Params):
-        self.g = g
-        self.p = p
-        self.floor: int | None = None
-
-    def __call__(self, d: Digraph, first: Container[int]) -> int | None:
-        r = self.p.r
-        cover_out = _cover_tables(d, self.p.t)
+        cover_out = _cover_tables(orient_index(g, index), p.t)
         mask, static_max = _greedy(cover_out, r)
         high = mask.bit_count()
         # every value in [low, high] is known only if high is: check
         # that first, so that the floor waits until it can matter
         if high in first:
-            if self.floor is None:
-                self.floor = gamma(self.g.as_digraph(), self.p).gamma
-            low = max(self.floor, -(-r * d.n // static_max))
+            if floor is None:
+                floor = gamma(g.as_digraph(), p).gamma
+            low = max(floor, -(-r * g.n // static_max))
             if all(x in first for x in range(low, high)):
-                return None
-        return _search(cover_out, r, mask, static_max).gamma
+                continue
+        first.setdefault(_search(cover_out, r, mask, static_max).gamma, index)
+    return first
 
 
 def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterval:
     """gamma over all 2^|E| orientations, solving one per symmetry orbit
-    and declining the orbits whose value is already known.
+    and skipping the orbits whose value is already known.
 
-    orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges.  jobs
-    worker processes (from 1 up to the CPU count) take strided slices of
-    the orbit minima; fewer than MIN_MINIMA_PER_WORKER minima per worker
-    run serially.
+    orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges.  The
+    scan runs on max(1, min(jobs, CPU count, minima //
+    MIN_MINIMA_PER_WORKER)) workers: one scans in this process, more take
+    strided slices of the orbit minima in a Pool.
     """
     if jobs < 1:
         raise OutOfRange(f"jobs must be >= 1, got {jobs}")
     minima = orbit_minima(g)
-    gamma_at_p = _GammaValue(g, p)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(minima) < MIN_MINIMA_PER_WORKER * jobs:
-        first = _scan(g, gamma_at_p, minima)
+    jobs = min(jobs, os.cpu_count() or 1, len(minima) // MIN_MINIMA_PER_WORKER)
+    if jobs <= 1:
+        partials = [_scan(g, p, minima)]
     else:
         # strided: gamma's cost drifts with the index, so every worker
         # gets a share of each stretch
-        slices = [(g, gamma_at_p, minima[j::jobs]) for j in range(jobs)]
+        slices = [(g, p, minima[j::jobs]) for j in range(jobs)]
         with Pool(processes=jobs) as pool:
             partials = pool.starmap(_scan, slices)
-        first = {}
-        for part in partials:
-            for value, index in part.items():
-                if value not in first or index < first[value]:
-                    first[value] = index
+    first: dict[int, int] = {}
+    for part in partials:
+        for value, index in part.items():
+            if value not in first or index < first[value]:
+                first[value] = index
     lo, hi = min(first), max(first)
     return DominationInterval(
         d=lo,

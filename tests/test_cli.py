@@ -13,7 +13,8 @@ import bdom.cli
 import bdom.graphs
 import bdom.interval
 from bdom.cli import main
-from bdom.errors import GraphConstructionError, ParseError, TooLarge
+from bdom.audit import run_audit
+from bdom.errors import GraphConstructionError, OutOfFormulaDomain, ParseError, TooLarge
 from bdom.families import grid, star, star_orientation
 from bdom.graphs import MAX_PARSED_VERTICES, format_dg, format_ug, parse_dg, parse_ug
 from bdom.lattice import builtin_patterns, format_pat, parse_pat
@@ -210,6 +211,29 @@ def test_audit_prop34_reports_refutation(capsys):
     assert by_instance[(3, 2)] == "refuted-at-instance"
     assert by_instance[(2, 4)] == "confirmed"
     assert by_instance[(3, 3)] == "confirmed"
+
+
+def test_audit_unknown_target_names_the_targets():
+    with pytest.raises(OutOfFormulaDomain) as exc:
+        run_audit("bogus")
+    assert str(exc.value) == (
+        "unknown audit target 'bogus'; choose from"
+        " ['grid', 'prop34', 'prop44', 'star', 'torus'] or 'all'"
+    )
+
+
+def test_audit_choices_follow_the_audit_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "bogus"])
+    assert exc.value.code == 2
+    # the audit table's order, then "all"; quoting varies across Pythons
+    names = re.sub(r"[\s',]+", " ", capsys.readouterr().err)
+    assert "star grid prop34 prop44 torus all" in names
+
+
+def test_family_grid_needs_both_dims(capsys):
+    assert main(["family", "grid", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: family grid needs --m and --n\n"
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -90,6 +90,8 @@ def test_zigzag_small_values_and_ratio():
     assert zigzag(10) == 50521
     assert zigzag(11) == 353792
     assert zigzag_ratio(10) == 7
+    with pytest.raises(OutOfRange, match="zigzag index must be >= 0, got -1"):
+        zigzag(-1)
 
 
 def _alternating_count(k: int) -> int:
@@ -278,8 +280,8 @@ def test_max_indegree_le1_counts():
     "m, n, index, count", [(3, 3, 1656, 8), (2, 4, 104, 7)]
 )
 def test_max_indegree_le1_pinned(m, n, index, count):
-    # the in-degree count never declines an index in _scan, so the first
-    # maximizer stays the one found by scanning every orbit minimum
+    # max over the orbit minima keeps the first maximizer, the one found
+    # by counting every orbit minimum
     assert max_indegree_le1_orientation(m, n) == (orient_index(grid(m, n), index), count)
 
 

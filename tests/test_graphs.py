@@ -152,6 +152,8 @@ def test_digraph_allows_antiparallel_but_not_parallel():
         Digraph(2, [(0, 1), (0, 1)])
     with pytest.raises(InvalidVertex, match="vertex count must be nonnegative"):
         Digraph(-1, [])
+    with pytest.raises(LoopEdge, match="loop at vertex 1"):
+        Digraph(2, [(1, 1)])
 
 
 # ---- orientation ------------------------------------------------------------

@@ -91,6 +91,24 @@ def test_jobs_below_threshold_open_no_pool(monkeypatch):
     assert pooled == domination_interval(grid(3, 3), Params(2, 2), jobs=1)
 
 
+@pytest.mark.parametrize(
+    "jobs, cpus, per_worker, opened_want",
+    [
+        (2, 2, 285, [2]),  # 570 // 285: two workers
+        (2, 2, 286, []),  # 570 // 286: one worker, no Pool
+        (3, 2, 1, [2]),  # the CPU count caps jobs
+        (3, 4, 285, [2]),  # the minima cap jobs, not only switch the Pool off
+    ],
+)
+def test_worker_count_rule(monkeypatch, jobs, cpus, per_worker, opened_want):
+    # grid(3, 3) has 570 orbit minima
+    serial = domination_interval(grid(3, 3), Params(2, 2), jobs=1)
+    opened = pool_spy(monkeypatch, per_worker=per_worker)
+    monkeypatch.setattr(bdom.interval.os, "cpu_count", lambda: cpus)
+    assert domination_interval(grid(3, 3), Params(2, 2), jobs=jobs) == serial
+    assert opened == opened_want
+
+
 def test_attained_set_is_transpose_closed():
     # transposing every orientation flips every bit: a bijection on the
     # index space, so the attained set is unchanged even though single
@@ -154,6 +172,13 @@ def test_witness_orientation_found_and_absent():
 def test_jump_search_empty_where_theorems_forbid():
     assert jump_search(Params(2, 1), 8, 120, seed=5) == []
     assert jump_search(Params(2, 2), 8, 120, seed=5) == []
+
+
+def test_jump_search_on_one_and_two_vertices():
+    # budgets below 4 draw graphs of exactly that many vertices: no edge,
+    # or one edge, whose flip moves gamma by at most 1
+    assert jump_search(Params(2, 1), 1, 3, seed=1) == []
+    assert jump_search(Params(2, 1), 2, 3, seed=1) == []
 
 
 def test_jump_search_certificates_recompute():

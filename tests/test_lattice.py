@@ -326,6 +326,14 @@ def test_pattern_rejects_empty_rows():
         TorusPattern(((),), ((),), ((),))
 
 
+def test_pattern_rejects_mismatched_fields_and_bad_bits():
+    towers = ((True, False),)
+    with pytest.raises(ParseError, match="pattern fields must share the same pa x pb shape"):
+        TorusPattern(towers, ((0,),), ((0, 0),))
+    with pytest.raises(ParseError, match="east bits must be 0/1"):
+        TorusPattern(towers, ((0, 2),), ((0, 0),))
+
+
 def test_embedded_grid_claim_3x3_records_inconsistency():
     a = embedded_grid_claim(3, 3)
     assert (a.claimed_low, a.claimed_high) == (3, 6)
@@ -345,6 +353,20 @@ def test_embedded_grid_claim_2x3_enumerates():
     assert a.low_attained is False  # undirected gamma is already 3
     assert a.high_attained is True
     assert a.actual_interval == (3, 5)
+
+
+def test_embedded_grid_claim_n_1_mod_3():
+    a = embedded_grid_claim(2, 4)  # high floor(2m(n-1)/3) = 4
+    assert (a.claimed_low, a.claimed_high) == (2, 4)
+    assert a.enumerated
+    assert a.actual_interval == (4, 7)
+
+
+def test_embedded_grid_claim_n_2_mod_3():
+    a = embedded_grid_claim(2, 5)  # high floor((4mn+5m)/6) = 8; 13 edges
+    assert (a.claimed_low, a.claimed_high) == (3, 8)
+    assert not a.enumerated
+    assert a.actual_interval is None
 
 
 def test_embedded_grid_claim_1x3_runs():

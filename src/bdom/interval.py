@@ -16,13 +16,21 @@ lb = max(floor, ceil(r*n / static_max)) and the greedy set's size.
 floor is the undirected gamma of the graph: every orientation's arcs
 are a subset of the doubled ones, so none has a lower gamma.  When every
 integer in that range already has a lower index, the scan skips the
-index; otherwise the search runs from the same seed.  floor is computed
-at most once per scan, and only when the greedy size is already known,
-so a scan with one minimum costs one greedy.
+index; otherwise the search runs from the same seed.
 
-The minima can be split across worker processes, each skipping only
-against its own values; merging keeps the lowest-index witness per
-value, so the result does not depend on the split either.  One worker
+Every orientation's gamma also lies at or below U = _upper(g, p), a
+bound proven for all orientations at once: n at t = 1, n - nu(g) (the
+maximum matching) for r < t, and n - beta(g) (the most disjoint vertex
+sets inducing more edges than vertices) for r = t >= 2.  So once the
+scan holds every integer in [floor, U], no later index can add a value
+or a lower witness, and it stops.  floor is computed at most once per
+scan, and only when a value it would decide is already known (the
+greedy size, or U), so a scan with one minimum costs one greedy.
+
+The minima can be split across worker processes, each skipping and
+stopping on its own values only; a worker's later indices exceed its
+own witnesses, and merging keeps the lowest-index witness per value,
+so the result does not depend on the split either.  One worker
 is given per MIN_MINIMA_PER_WORKER minima, up to jobs and the CPU
 count: below that, starting and stopping a pool costs more than it
 saves.  A single worker scans in this process.
@@ -59,9 +67,12 @@ from .graphs import (
 from .solver import _cover_tables, _greedy, _search, gamma
 
 # Pool(2) time over serial time of domination_interval on 2 shared
-# cores, Python 3.11.7 (table in CHANGES.md): at (2,2) 1.07-1.26 at
-# 4,096 orbit minima and 0.45-1.05 from 8,192; (3,1) pays from about
-# 1,024, so this errs towards the serial scan
+# cores, Python 3.11.7 (tables in CHANGES.md).  Where the scan runs to
+# its last minimum, the Pool pays from 1,024-4,096 minima ((3,3),
+# (3,1)) and loses up to 4,096 at (2,2).  Where it stops at _upper's
+# bound, each worker stops only once its own slice holds every value:
+# from 8,192 minima the Pool cost 0.78-6.4x the serial scan.  The
+# count cannot tell the two apart, so it stays at 4,096
 MIN_MINIMA_PER_WORKER = 4096
 
 
@@ -140,14 +151,156 @@ def orbit_minima(g: Graph) -> Sequence[int]:
     return minima
 
 
-def _scan(g: Graph, p: Params, indices: Sequence[int]) -> dict[int, int]:
+def _max_matching(nbrs: list[int], free: int, memo: dict[int, int]) -> int:
+    """The most disjoint edges among the vertices of the mask free.
+
+    The lowest free vertex is either matched to one of its free
+    neighbours or left unmatched; memo holds the answer per mask.  No
+    branch is tried once one reaches half the free vertices.
+    """
+    if not free:
+        return 0
+    if free in memo:
+        return memo[free]
+    low = free & -free
+    rest = free ^ low
+    cap = free.bit_count() // 2
+    best = 0
+    partners = nbrs[low.bit_length() - 1] & rest
+    while partners and best < cap:
+        w = partners & -partners
+        partners ^= w
+        best = max(best, 1 + _max_matching(nbrs, rest ^ w, memo))
+    if best < cap:
+        best = max(best, _max_matching(nbrs, rest, memo))
+    memo[free] = best
+    return best
+
+
+def _two_core(nbrs: list[int], alive: int) -> int:
+    """The vertices of alive left after repeatedly removing those with
+    fewer than two neighbours in alive."""
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (nbrs[low.bit_length() - 1] & alive).bit_count() < 2:
+                alive ^= low
+                shrunk = True
+    return alive
+
+
+def _dense_sets(nbrs: list[int], alive: int) -> list[int]:
+    """Connected vertex sets within alive that hold its lowest vertex
+    and induce more edges than vertices, among them every minimal one.
+
+    Grows connected sets from the lowest vertex, deciding each
+    neighbour of the set once (in or out), so every connected set is
+    reached once; a set is not grown past its first dense one, so a
+    minimal one is always reached.
+    """
+    low = alive & -alive
+    found = []
+    # set, its induced edge count, neighbours still to decide, and the
+    # set plus the neighbours left out
+    stack = [(low, 0, nbrs[low.bit_length() - 1] & alive, low)]
+    while stack:
+        members, edges, ext, closed = stack.pop()
+        if not ext:
+            continue
+        w = ext & -ext
+        stack.append((members, edges, ext ^ w, closed | w))
+        near = nbrs[w.bit_length() - 1]
+        grown = members | w
+        grown_edges = edges + (near & members).bit_count()
+        if grown_edges <= grown.bit_count():
+            stack.append(
+                (grown, grown_edges, (ext ^ w) | (near & alive & ~closed), closed | w)
+            )
+        else:
+            found.append(grown)
+    return found
+
+
+def _dense_packing(nbrs: list[int], alive: int, memo: dict[int, int]) -> int:
+    """The most vertex-disjoint sets within alive that each induce more
+    edges than vertices.
+
+    A packing may keep only minimal sets, and a minimal set lies in the
+    2-core of alive and has at least 4 vertices.  So the lowest vertex
+    of the 2-core is either in no set, or in a minimal set, which
+    _dense_sets lists; memo holds the answer per 2-core.
+    """
+    alive = _two_core(nbrs, alive)
+    if not alive:
+        return 0
+    if alive in memo:
+        return memo[alive]
+    cap = alive.bit_count() // 4
+    best = 0
+    for members in _dense_sets(nbrs, alive):
+        if best == cap:
+            break
+        best = max(best, 1 + _dense_packing(nbrs, alive & ~members, memo))
+    if best < cap:
+        low = alive & -alive
+        best = max(best, _dense_packing(nbrs, alive ^ low, memo))
+    memo[alive] = best
+    return best
+
+
+def _upper(g: Graph, p: Params) -> int:
+    """A bound U >= gamma(D) for every orientation D of g.
+
+    * t = 1: U = n, since the whole vertex set dominates (r <= t).
+    * r < t: U = n - nu(g), nu the maximum matching.  In any
+      orientation, let S hold the head of each matching edge.  Its
+      tail is not in S and sends it t - 1 >= r at distance 1; every
+      vertex outside S gives itself t.  So the vertices outside S
+      dominate.
+    * r = t >= 2: U = n - beta(g), beta the most vertex-disjoint vertex
+      sets that each induce more edges than vertices.  In any
+      orientation the in-degrees within such a set X, counting arcs
+      inside X only, sum to more than |X|, so some vertex of X has two
+      in-neighbours in X.  They send t - 1 each, and 2(t - 1) >= t, so
+      taking one such vertex out of each set still dominates.  (For
+      the 3x2 grid, beta = 1 and U = 5.)
+
+    A weaker U is still a bound; a tight one lets _scan stop sooner.
+    """
+    if p.t == 1:
+        return g.n
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    if p.r < p.t:
+        free = sum(1 << v for v, near in enumerate(nbrs) if near)
+        return g.n - _max_matching(nbrs, free, {})
+    alive = sum(1 << v for v, near in enumerate(nbrs) if near.bit_count() >= 2)
+    return g.n - _dense_packing(nbrs, alive, {})
+
+
+def _scan(
+    g: Graph, p: Params, indices: Sequence[int], upper: int
+) -> dict[int, int]:
     """gamma over the given orientation indices, ascending: value -> first
     index.  An index whose greedy seed bounds its value to values already
-    in first is skipped without a search."""
+    in first is skipped without a search.  Every value lies in [floor,
+    upper], so once first holds all of them the scan stops: no later
+    index can add a value or a lower witness."""
     r = p.r
     first: dict[int, int] = {}
     floor: int | None = None
     for index in indices:
+        if upper in first:
+            if floor is None:
+                floor = gamma(g.as_digraph(), p).gamma
+            if len(first) == upper - floor + 1:
+                break
         cover_out = _cover_tables(orient_index(g, index), p.t)
         mask, static_max = _greedy(cover_out, r)
         high = mask.bit_count()
@@ -164,24 +317,26 @@ def _scan(g: Graph, p: Params, indices: Sequence[int]) -> dict[int, int]:
 
 
 def domination_interval(g: Graph, p: Params, jobs: int = 1) -> DominationInterval:
-    """gamma over all 2^|E| orientations, solving one per symmetry orbit
-    and skipping the orbits whose value is already known.
+    """gamma over all 2^|E| orientations, solving one per symmetry orbit,
+    skipping the orbits whose value is already known and stopping once
+    every value up to _upper's bound is known.
 
-    orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges.  The
-    scan runs on max(1, min(jobs, CPU count, minima //
+    orbit_minima raises TooManyEdges above MAX_ENUM_EDGES edges, before
+    the bound is computed.  The scan runs on max(1, min(jobs, CPU count, minima //
     MIN_MINIMA_PER_WORKER)) workers: one scans in this process, more take
     strided slices of the orbit minima in a Pool.
     """
     if jobs < 1:
         raise OutOfRange(f"jobs must be >= 1, got {jobs}")
     minima = orbit_minima(g)
+    upper = _upper(g, p)
     jobs = min(jobs, os.cpu_count() or 1, len(minima) // MIN_MINIMA_PER_WORKER)
     if jobs <= 1:
-        partials = [_scan(g, p, minima)]
+        partials = [_scan(g, p, minima, upper)]
     else:
         # strided: gamma's cost drifts with the index, so every worker
         # gets a share of each stretch
-        slices = [(g, p, minima[j::jobs]) for j in range(jobs)]
+        slices = [(g, p, minima[j::jobs], upper) for j in range(jobs)]
         with Pool(processes=jobs) as pool:
             partials = pool.starmap(_scan, slices)
     first: dict[int, int] = {}

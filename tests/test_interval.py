@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,7 +22,7 @@ from bdom import (
     orient_index,
 )
 from bdom.families import grid, path, star, star_interval
-from bdom.interval import orbit_minima
+from bdom.interval import _upper, orbit_minima
 from conftest import connected_labeled_graphs, pool_spy
 
 SIX_PAIRS = [Params(t, r) for t in (1, 2, 3) for r in range(1, t + 1)]
@@ -224,35 +225,155 @@ def test_orbit_minima_guard_without_automorphisms():
         orbit_minima(g)
 
 
-def test_interval_matches_full_scan_on_sampled_graphs(monkeypatch):
-    # the scan declines the orbits whose value is already known, and
-    # each pool worker declines against its own values only; star(4) at
-    # (2,2) and grid(2, 4) at (3,2) each reach a new value at an
-    # orientation whose greedy size is already known
+def _rule(p):
+    """Which of _upper's bounds applies at p."""
+    if p.t == 1:
+        return "n"
+    return "matching" if p.r < p.t else "dense packing"
+
+
+@pytest.fixture(scope="module")
+def sampled_full_scans():
+    """(graph, params) -> lowest index per value over all 2^|E| indices.
+
+    Every graph has at most 12 edges, since each orientation is solved.
+    """
     rng = random.Random(4)
     small = [g for g in connected_labeled_graphs(5) if len(g.edges) <= 7]
     hexagon = Graph(6, [(k, (k + 1) % 6) for k in range(6)])
-    graphs = rng.sample(small, 6) + [hexagon, star(4), grid(2, 3), grid(2, 4), grid(3, 3)]
+    graphs = rng.sample(small, 6) + [
+        hexagon,
+        star(4),
+        grid(2, 3),
+        grid(3, 2),
+        grid(2, 4),
+        grid(3, 3),
+    ]
+    return {(g, p): _full_scan(g, p) for g in graphs for p in SIX_PAIRS}
+
+
+def test_interval_matches_full_scan_on_sampled_graphs(monkeypatch, sampled_full_scans):
+    # the scan declines the orbits whose value is already known, each
+    # pool worker declines against its own values only, and every scan
+    # stops once it holds each value up to _upper; star(4) at (2,2) and
+    # grid(2, 4) at (3,2) each reach a new value at an orientation whose
+    # greedy size is already known
     expected = {}
-    for g in graphs:
-        for p in SIX_PAIRS:
-            first = _full_scan(g, p)
-            expected[g, p] = DominationInterval(
-                d=min(first),
-                D=max(first),
-                attained=frozenset(first),
-                full=len(first) == max(first) - min(first) + 1,
-                witnesses={
-                    value: bits_from_index(i, len(g.edges))
-                    for value, i in sorted(first.items())
-                },
-            )
-            assert domination_interval(g, p, jobs=1) == expected[g, p]
+    for (g, p), first in sampled_full_scans.items():
+        expected[g, p] = DominationInterval(
+            d=min(first),
+            D=max(first),
+            attained=frozenset(first),
+            full=len(first) == max(first) - min(first) + 1,
+            witnesses={
+                value: bits_from_index(i, len(g.edges))
+                for value, i in sorted(first.items())
+            },
+        )
+    calls = []
+    real = bdom.interval._greedy
+
+    def spy(cover_out, r):
+        calls.append(r)
+        return real(cover_out, r)
+
+    monkeypatch.setattr(bdom.interval, "_greedy", spy)
+    stopped = set()
+    for (g, p), want in expected.items():
+        calls.clear()
+        assert domination_interval(g, p, jobs=1) == want
+        if len(calls) < len(orbit_minima(g)):
+            stopped.add(_rule(p))
+    # each bound stops some scan early (grid(2, 4): 1 of 264 minima at
+    # (1,1), 5 at (2,1); grid(3, 2): 10 of 36 at (2,2))
+    assert stopped == {"n", "matching", "dense packing"}
     opened = pool_spy(monkeypatch)
+    for (g, p), want in expected.items():
+        assert domination_interval(g, p, jobs=2) == want
+    assert opened == [2] * len(expected)
+
+
+def _matching_reference(g):
+    """The most pairwise disjoint edges, over all edge subsets."""
+    return max(
+        k
+        for k in range(len(g.edges) + 1)
+        for chosen in combinations(g.edges, k)
+        if len({v for e in chosen for v in e}) == 2 * k
+    )
+
+
+def _dense_packing_reference(g):
+    """The most disjoint vertex sets inducing more edges than vertices,
+    by a DP over vertex subsets: the lowest vertex of a subset is in no
+    set or in one dense set within the subset."""
+    size = 1 << g.n
+    dense = [
+        sum(1 for u, v in g.edges if x >> u & 1 and x >> v & 1) > x.bit_count()
+        for x in range(size)
+    ]
+    best = [0] * size
+    for x in range(1, size):
+        low = x & -x
+        rest = x ^ low
+        best[x] = best[rest]
+        sub = rest
+        while True:
+            if dense[sub | low]:
+                best[x] = max(best[x], 1 + best[x & ~(sub | low)])
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return best[size - 1]
+
+
+def test_upper_bounds_match_references():
+    rng = random.Random(11)
+    graphs = connected_labeled_graphs(5)
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 16)))))
     for g in graphs:
+        assert _upper(g, Params(1, 1)) == g.n
+        assert _upper(g, Params(3, 2)) == g.n - _matching_reference(g)
+        assert _upper(g, Params(3, 3)) == g.n - _dense_packing_reference(g)
+
+
+def test_upper_bounds_every_orientation(sampled_full_scans):
+    # the connected graphs on up to 5 vertices, one per isomorphism
+    # class, and the differential test's graphs, against full scans
+    classes = {}
+    for g in connected_labeled_graphs(5):
+        key = min(
+            tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+            for perm in permutations(range(g.n))
+        )
+        classes.setdefault((g.n, key), g)
+    scans = dict(sampled_full_scans)
+    for g in classes.values():
         for p in SIX_PAIRS:
-            assert domination_interval(g, p, jobs=2) == expected[g, p]
-    assert opened == [2] * len(graphs) * len(SIX_PAIRS)
+            scans[g, p] = _full_scan(g, p)
+    tight = set()
+    for (g, p), first in scans.items():
+        assert max(first) <= _upper(g, p)
+        if max(first) == _upper(g, p):
+            tight.add(_rule(p))
+    # the criterion-9 graph: n - beta = 6 - 1
+    assert max(scans[grid(3, 2), Params(2, 2)]) == _upper(grid(3, 2), Params(2, 2)) == 5
+    # each bound is attained somewhere, so one below it fails above
+    assert tight == {"n", "matching", "dense packing"}
+
+
+def test_edge_guard_fires_before_the_bound(monkeypatch):
+    def upper(g, p):
+        raise AssertionError("_upper ran before the edge guard")
+
+    monkeypatch.setattr(bdom.interval, "_upper", upper)
+    # a path 0..24 with a pendant 25 at vertex 2: 25 edges
+    g = Graph(26, [(k, k + 1) for k in range(24)] + [(2, 25)])
+    with pytest.raises(TooManyEdges):
+        domination_interval(g, Params(2, 2))
 
 
 def test_scan_runs_one_greedy_per_minimum(monkeypatch):
@@ -270,10 +391,21 @@ def test_scan_runs_one_greedy_per_minimum(monkeypatch):
     assert (iv.d, iv.D) == (300, 300)
     assert calls == [300]
     # each orbit minimum runs the greedy once, searching from that seed
-    # when it cannot decline; the floor may add one more on the graph
+    # when it cannot decline; the floor may add one more on the graph.
+    # At (3,3) grid(3, 3) has D = 6 below n - beta = 8, so the scan
+    # visits all 570 minima
+    calls.clear()
+    domination_interval(grid(3, 3), Params(3, 3))
+    assert 570 <= len(calls) <= 571
+    # at (2,2) D = n - beta = 8: the scan stops once it holds 4..8
     calls.clear()
     domination_interval(grid(3, 3), Params(2, 2))
-    assert 570 <= len(calls) <= 571
+    assert len(calls) == 324
+    # at t = 1 every orientation has gamma n: one scan greedy, then the
+    # floor, and the scan stops before its second minimum
+    calls.clear()
+    domination_interval(grid(3, 3), Params(1, 1))
+    assert calls == [9, 9]
 
 
 @pytest.mark.parametrize("p", [Params(1, 1), Params(2, 2), Params(3, 3), Params(2, 1)])

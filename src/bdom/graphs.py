@@ -78,6 +78,23 @@ class Params:
             )
 
 
+def _vertex_pair(pair: Iterable[int], n: int, kind: str) -> tuple[int, int]:
+    """pair as two integer vertex ids in range(n), checked for Graph's
+    edges and Digraph's arcs; kind ("edge" or "arc") names it in the
+    InvalidVertex raised otherwise.  Equal ids raise LoopEdge."""
+    try:
+        a, b = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise InvalidVertex(
+            f"{kind} {pair!r} is not a pair of integer vertex ids"
+        ) from None
+    if not (0 <= a < n) or not (0 <= b < n):
+        raise InvalidVertex(f"{kind} ({a}, {b}) out of range for n={n}")
+    if a == b:
+        raise LoopEdge(f"loop at vertex {a}")
+    return a, b
+
+
 class Graph:
     """Undirected simple graph with a canonical edge order.
 
@@ -98,16 +115,7 @@ class Graph:
         incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         high_mask = [0] * n
         for k, edge in enumerate(edges):
-            try:
-                a, b = map(operator.index, edge)
-            except (TypeError, ValueError):
-                raise InvalidVertex(
-                    f"edge {edge!r} is not a pair of integer vertex ids"
-                ) from None
-            if not (0 <= a < n) or not (0 <= b < n):
-                raise InvalidVertex(f"edge ({a}, {b}) out of range for n={n}")
-            if a == b:
-                raise LoopEdge(f"loop at vertex {a}")
+            a, b = _vertex_pair(edge, n, "edge")
             u, v = e = (a, b) if a < b else (b, a)
             if e in canonical:
                 raise DuplicateEdge(f"duplicate edge {e}")
@@ -155,21 +163,20 @@ CoverOut = tuple[tuple[tuple[int, int], ...], ...]
 
 class Digraph:
     """Directed graph without loops or same-direction parallel arcs.
-    The constructor checks outside arcs; as_digraph, orient_index,
-    transpose and lattice.torus_digraph build through _trusted."""
+    The constructor checks outside arcs as Graph checks edges, except
+    that only a repeated (u, v) is a DuplicateEdge; as_digraph,
+    orient_index, transpose and lattice.torus_digraph build through
+    _trusted."""
 
     __slots__ = ("n", "out_adjacency", "_cover_cache")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, arcs: Iterable[Iterable[int]]):
         if n < 0:
             raise InvalidVertex(f"vertex count must be nonnegative, got {n}")
         out_adj: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
-        for u, v in arcs:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise InvalidVertex(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise LoopEdge(f"loop at vertex {u}")
+        for arc in arcs:
+            u, v = _vertex_pair(arc, n, "arc")
             if (u, v) in seen:
                 raise DuplicateEdge(f"parallel arc ({u}, {v})")
             seen.add((u, v))

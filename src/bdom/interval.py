@@ -21,11 +21,13 @@ index; otherwise the search runs from the same seed.
 Every orientation's gamma also lies at or below U = _upper(g, p), a
 bound proven for all orientations at once: n at t = 1, n - nu(g) (the
 maximum matching) for r < t, and n - beta(g) (the most disjoint vertex
-sets inducing more edges than vertices) for r = t >= 2.  So once the
-scan holds every integer in [floor, U], no later index can add a value
-or a lower witness, and it stops.  floor is computed at most once per
-scan, and only when a value it would decide is already known (the
-greedy size, or U), so a scan with one minimum costs one greedy.
+sets inducing more edges than vertices) for r = t >= 2.  One packing
+search, _packing, gives both nu and beta.  So once the scan holds every
+integer in [floor, U], no later index can add a value or a lower
+witness, and it stops.  The skip and the stop are one check: every
+value in a range already has a lower index.  It computes floor at most
+once per scan, and only once the range's top value (the greedy size,
+or U) is known, so a scan with one minimum costs one greedy.
 
 The minima can be split across worker processes, each skipping and
 stopping on its own values only; a worker's later indices exceed its
@@ -151,35 +153,23 @@ def orbit_minima(g: Graph) -> Sequence[int]:
     return minima
 
 
-def _max_matching(nbrs: list[int], free: int, memo: dict[int, int]) -> int:
-    """The most disjoint edges among the vertices of the mask free.
+def _packing(nbrs: list[int], alive: int, s: int, memo: dict[int, int]) -> int:
+    """The most vertex-disjoint connected sets X within alive that each
+    induce more than |X| + s edges: nu(g) at s = -2, where the minimal
+    sets are single edges, and beta(g) at s = 0.
 
-    The lowest free vertex is either matched to one of its free
-    neighbours or left unmatched; memo holds the answer per mask.  No
-    branch is tried once one reaches half the free vertices.
+    A packing may keep only minimal sets.  Each vertex of a minimal set
+    has at least 2 + s//2 neighbours in it: one in an edge, and two at
+    s = 0, where dropping a vertex with fewer leaves a dense set.  The
+    set has at least 4 + s vertices.  So alive is first cut to its core
+    where every vertex keeps 2 + s//2 neighbours, and the core's lowest
+    vertex is either in no set or in a minimal one; memo holds the
+    answer per core.  The sets holding that vertex are grown from it,
+    deciding each neighbour of the set once (in or out), so every
+    connected set is reached once; a set is not grown past its first
+    dense one, so a minimal one is always reached.
     """
-    if not free:
-        return 0
-    if free in memo:
-        return memo[free]
-    low = free & -free
-    rest = free ^ low
-    cap = free.bit_count() // 2
-    best = 0
-    partners = nbrs[low.bit_length() - 1] & rest
-    while partners and best < cap:
-        w = partners & -partners
-        partners ^= w
-        best = max(best, 1 + _max_matching(nbrs, rest ^ w, memo))
-    if best < cap:
-        best = max(best, _max_matching(nbrs, rest, memo))
-    memo[free] = best
-    return best
-
-
-def _two_core(nbrs: list[int], alive: int) -> int:
-    """The vertices of alive left after repeatedly removing those with
-    fewer than two neighbours in alive."""
+    degree = 2 + s // 2
     shrunk = True
     while shrunk:
         shrunk = False
@@ -187,27 +177,20 @@ def _two_core(nbrs: list[int], alive: int) -> int:
         while rest:
             low = rest & -rest
             rest ^= low
-            if (nbrs[low.bit_length() - 1] & alive).bit_count() < 2:
+            if (nbrs[low.bit_length() - 1] & alive).bit_count() < degree:
                 alive ^= low
                 shrunk = True
-    return alive
-
-
-def _dense_sets(nbrs: list[int], alive: int) -> list[int]:
-    """Connected vertex sets within alive that hold its lowest vertex
-    and induce more edges than vertices, among them every minimal one.
-
-    Grows connected sets from the lowest vertex, deciding each
-    neighbour of the set once (in or out), so every connected set is
-    reached once; a set is not grown past its first dense one, so a
-    minimal one is always reached.
-    """
+    if not alive:
+        return 0
+    if alive in memo:
+        return memo[alive]
+    cap = alive.bit_count() // (4 + s)
+    best = 0
     low = alive & -alive
-    found = []
     # set, its induced edge count, neighbours still to decide, and the
     # set plus the neighbours left out
     stack = [(low, 0, nbrs[low.bit_length() - 1] & alive, low)]
-    while stack:
+    while stack and best < cap:
         members, edges, ext, closed = stack.pop()
         if not ext:
             continue
@@ -216,38 +199,14 @@ def _dense_sets(nbrs: list[int], alive: int) -> list[int]:
         near = nbrs[w.bit_length() - 1]
         grown = members | w
         grown_edges = edges + (near & members).bit_count()
-        if grown_edges <= grown.bit_count():
+        if grown_edges <= grown.bit_count() + s:
             stack.append(
                 (grown, grown_edges, (ext ^ w) | (near & alive & ~closed), closed | w)
             )
         else:
-            found.append(grown)
-    return found
-
-
-def _dense_packing(nbrs: list[int], alive: int, memo: dict[int, int]) -> int:
-    """The most vertex-disjoint sets within alive that each induce more
-    edges than vertices.
-
-    A packing may keep only minimal sets, and a minimal set lies in the
-    2-core of alive and has at least 4 vertices.  So the lowest vertex
-    of the 2-core is either in no set, or in a minimal set, which
-    _dense_sets lists; memo holds the answer per 2-core.
-    """
-    alive = _two_core(nbrs, alive)
-    if not alive:
-        return 0
-    if alive in memo:
-        return memo[alive]
-    cap = alive.bit_count() // 4
-    best = 0
-    for members in _dense_sets(nbrs, alive):
-        if best == cap:
-            break
-        best = max(best, 1 + _dense_packing(nbrs, alive & ~members, memo))
+            best = max(best, 1 + _packing(nbrs, alive & ~grown, s, memo))
     if best < cap:
-        low = alive & -alive
-        best = max(best, _dense_packing(nbrs, alive ^ low, memo))
+        best = max(best, _packing(nbrs, alive ^ low, s, memo))
     memo[alive] = best
     return best
 
@@ -269,7 +228,9 @@ def _upper(g: Graph, p: Params) -> int:
       taking one such vertex out of each set still dominates.  (For
       the 3x2 grid, beta = 1 and U = 5.)
 
-    A weaker U is still a bound; a tight one lets _scan stop sooner.
+    nu and beta come from one search, _packing, over the vertices that
+    have a neighbour.  A weaker U is still a bound; a tight one lets
+    _scan stop sooner.
     """
     if p.t == 1:
         return g.n
@@ -277,11 +238,8 @@ def _upper(g: Graph, p: Params) -> int:
     for u, v in g.edges:
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
-    if p.r < p.t:
-        free = sum(1 << v for v, near in enumerate(nbrs) if near)
-        return g.n - _max_matching(nbrs, free, {})
-    alive = sum(1 << v for v, near in enumerate(nbrs) if near.bit_count() >= 2)
-    return g.n - _dense_packing(nbrs, alive, {})
+    alive = sum(1 << v for v, near in enumerate(nbrs) if near)
+    return g.n - _packing(nbrs, alive, -2 if p.r < p.t else 0, {})
 
 
 def _scan(
@@ -295,23 +253,25 @@ def _scan(
     r = p.r
     first: dict[int, int] = {}
     floor: int | None = None
+
+    def known(low: int, high: int) -> bool:
+        """Whether every value in [max(floor, low), high] has a lower
+        index.  None can unless high does, so the floor waits for it."""
+        nonlocal floor
+        if high not in first:
+            return False
+        if floor is None:
+            floor = gamma(g.as_digraph(), p).gamma
+        return all(x in first for x in range(max(floor, low), high))
+
     for index in indices:
-        if upper in first:
-            if floor is None:
-                floor = gamma(g.as_digraph(), p).gamma
-            if len(first) == upper - floor + 1:
-                break
+        if known(0, upper):
+            break
         cover_out = _cover_tables(orient_index(g, index), p.t)
         mask, static_max = _greedy(cover_out, r)
-        high = mask.bit_count()
-        # every value in [low, high] is known only if high is: check
-        # that first, so that the floor waits until it can matter
-        if high in first:
-            if floor is None:
-                floor = gamma(g.as_digraph(), p).gamma
-            low = max(floor, -(-r * g.n // static_max))
-            if all(x in first for x in range(low, high)):
-                continue
+        # the counting bound; static_max is 0 only on the empty graph
+        if known(-(-r * g.n // (static_max or 1)), mask.bit_count()):
+            continue
         first.setdefault(_search(cover_out, r, mask, static_max).gamma, index)
     return first
 

@@ -154,6 +154,10 @@ def test_digraph_allows_antiparallel_but_not_parallel():
         Digraph(-1, [])
     with pytest.raises(LoopEdge, match="loop at vertex 1"):
         Digraph(2, [(1, 1)])
+    # arcs get Graph's pair check, so no builtin error leaves the library
+    for bad in ((0.5, 1), (0, 1, 2), ("a", 1), None):
+        with pytest.raises(InvalidVertex, match="arc .* is not a pair of integer vertex ids"):
+            Digraph(3, [bad])
 
 
 # ---- orientation ------------------------------------------------------------

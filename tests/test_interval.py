@@ -338,6 +338,19 @@ def test_upper_bounds_match_references():
         assert _upper(g, Params(1, 1)) == g.n
         assert _upper(g, Params(3, 2)) == g.n - _matching_reference(g)
         assert _upper(g, Params(3, 3)) == g.n - _dense_packing_reference(g)
+    # grid(4, 4) has 24 edges, past the references' reach: a perfect
+    # matching (nu = 8), and two disjoint dense 2x3 blocks, where three
+    # would need 18 of the 16 vertices (beta = 2)
+    for p, bound in ((2, 1), 8), ((3, 2), 8), ((2, 2), 14), ((3, 3), 14):
+        assert _upper(grid(4, 4), Params(*p)) == bound
+
+
+def test_upper_packs_past_a_vertex_in_no_set():
+    # the lowest vertex lies on a cycle, in the 2-core but in no dense
+    # set, so beta must come from the packing without it: the K4 on 4..7
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3)] + list(combinations(range(4, 8), 2)))
+    assert _upper(g, Params(2, 2)) == 8 - 1
+    assert _upper(g, Params(2, 1)) == 8 - 4
 
 
 def test_upper_bounds_every_orientation(sampled_full_scans):

@@ -87,3 +87,32 @@ def test_every_raise_is_a_bdom_error():
             cls = getattr(bdom.errors, name, None) or getattr(builtins, name)
             assert issubclass(cls, bdom.errors.BdomError), (where, name)
     assert seen == allowed
+
+
+def test_every_private_helper_is_used():
+    # a helper that a refactor replaced must go with it: each module-level
+    # _function is named somewhere in the package outside its own body
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "bdom").glob("*.py"))
+    }
+    helpers = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    assert helpers
+    for module, helper in helpers:
+        own = {id(node) for node in ast.walk(helper)}
+        uses = [
+            node
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if id(node) not in own
+            and (
+                isinstance(node, ast.Name) and node.id == helper.name
+                or isinstance(node, ast.Attribute) and node.attr == helper.name
+            )
+        ]
+        assert uses, f"{module}: {helper.name} is never used"
